@@ -2,8 +2,9 @@
 //
 //   $ ./quickstart [n] [threads]
 //
-// Demonstrates the two public entry points — the free function wfsort::sort
-// and the reusable Sorter object — plus the per-run statistics.
+// Demonstrates the public entry point wfsort::sort, its per-run statistics,
+// and switching variants through Options.
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <span>
@@ -34,13 +35,14 @@ int main(int argc, char** argv) {
                                                        static_cast<double>(__builtin_clzll(n))));
   std::printf("max build-tree iterations: %llu (Lemma 2.4 bound: %zu)\n",
               static_cast<unsigned long long>(stats.max_build_iters), n - 1);
-  std::printf("workers completed: %u of %u\n", stats.completed_workers, stats.workers);
+  std::printf("workers completed: %u of %u in %.2f ms\n", stats.completed_workers,
+              stats.workers, stats.wall_ms);
 
   // The low-contention variant is a one-field change:
   for (auto& x : data) x = rng.below(1000000);
-  wfsort::Sorter<std::uint64_t> lc_sorter(
-      wfsort::Options{.threads = threads, .variant = wfsort::Variant::kLowContention});
-  lc_sorter(std::span<std::uint64_t>(data));
+  wfsort::sort(std::span<std::uint64_t>(data),
+               wfsort::Options{.threads = threads,
+                               .variant = wfsort::Variant::kLowContention});
   std::printf("low-contention variant resorted the array: %s\n",
               std::is_sorted(data.begin(), data.end()) ? "yes" : "NO");
   return sorted ? 0 : 1;

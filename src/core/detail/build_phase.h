@@ -59,6 +59,19 @@ struct BuildTally {
   }
 };
 
+// Level::kFull record of one element's finished descent: the CAS-retry
+// histogram, the install counters, and a burst event past the threshold.
+inline void record_descent(telemetry::WorkerScratch& tel, std::int64_t elem,
+                           std::uint64_t fails, bool installed) {
+  tel.rep.cas_retries.add(fails);
+  tel.count(telemetry::Counter::kCasFailures, fails);
+  if (installed) tel.count(telemetry::Counter::kCasInstalls);
+  if (fails >= kCasBurstThreshold) {
+    tel.emit(telemetry::FlightKind::kCasFailBurst, 0,
+             static_cast<std::uint32_t>(fails), static_cast<std::uint64_t>(elem));
+  }
+}
+
 // Insert element `i` starting the descent at `start_parent` (the pivot-tree
 // root for the plain algorithm; the fat-tree handoff point for the
 // low-contention variant).
@@ -136,20 +149,18 @@ inline void batch_descend_sides(const TreeState<Key, Compare>& st,
   for (int k = 0; k < active; ++k) sides[k] = static_cast<Side>(big[k]);
 }
 
-template <typename Key, typename Compare, typename Check,
-          typename Tel = std::nullptr_t>
+template <typename Key, typename Compare, typename Check>
 bool build_batch(TreeState<Key, Compare>& st, std::int64_t lo, std::int64_t hi,
-                 BuildTally& tally, Check&& keep_going, Tel tel = nullptr) {
-  constexpr bool kTel = telemetry::kTelEnabled<Tel>;
+                 BuildTally& tally, Check&& keep_going,
+                 telemetry::WorkerScratch* tel = nullptr) {
   struct Lane {
     std::int64_t elem;
     std::int64_t parent;
     Key ekey;  // cached key of elem, gathered once at refill for the batch compare
     std::uint64_t iterations;
-    std::uint64_t fails;  // per-lane only when kTel (feeds the histogram)
+    std::uint64_t fails;
   };
-  [[maybe_unused]] bool tel_detail = false;
-  if constexpr (kTel) tel_detail = tel != nullptr && tel->detail;
+  const bool tel_detail = tel != nullptr && tel->detail;
   Lane lanes[kBuildLanes];
   int active = 0;
   const std::int64_t root = st.root_idx();
@@ -229,29 +240,13 @@ bool build_batch(TreeState<Key, Compare>& st, std::int64_t lo, std::int64_t hi,
       ++ln.iterations;
       WFSORT_DCHECK(ln.iterations <= static_cast<std::uint64_t>(st.n()));
       if (installed || c == ln.elem) {
-        if constexpr (kTel) {
-          tally.add({ln.iterations, ln.fails, installed ? 1u : 0u});
-          if (tel_detail) {
-            tel->rep.cas_retries.add(ln.fails);
-            tel->count(telemetry::Counter::kCasFailures, ln.fails);
-            if (installed) tel->count(telemetry::Counter::kCasInstalls);
-            if (ln.fails >= kCasBurstThreshold) {
-              tel->emit(telemetry::FlightKind::kCasFailBurst, 0,
-                        static_cast<std::uint32_t>(ln.fails),
-                        static_cast<std::uint64_t>(ln.elem));
-            }
-          }
-        } else {
-          tally.add({ln.iterations, 0, installed ? 1u : 0u});
-        }
+        tally.add({ln.iterations, ln.fails, installed ? 1u : 0u});
+        if (tel_detail) record_descent(*tel, ln.elem, ln.fails, installed);
         if (!keep_going()) {
-          if constexpr (kTel) {
-            // Aborted mid-batch: fold the still-in-flight lanes' lost probes
-            // into the tally so crash paths report the same counts as direct
-            // accumulation (slot l was already added above).
-            for (int k = 0; k < active; ++k) {
-              if (k != l) tally.cas_failures += lanes[k].fails;
-            }
+          // Aborted mid-batch: fold the still-in-flight lanes' lost probes
+          // into the tally too (slot l was already added above).
+          for (int k = 0; k < active; ++k) {
+            if (k != l) tally.cas_failures += lanes[k].fails;
           }
           return false;
         }
@@ -269,11 +264,7 @@ bool build_batch(TreeState<Key, Compare>& st, std::int64_t lo, std::int64_t hi,
         }
         continue;  // the new occupant of slot l steps next
       }
-      if constexpr (kTel) {
-        ++ln.fails;
-      } else {
-        ++tally.cas_failures;
-      }
+      ++ln.fails;
       ln.parent = c;
       st.prefetch(c);  // overlap this miss with the other lanes' steps
       ++l;
@@ -315,13 +306,11 @@ inline std::uint32_t backoff_spins(std::uint32_t attempt, std::uint32_t limit) {
 // to preserve (the LC tree is randomized by construction).  A lane that
 // loses an install CAS backs off exponentially (bounded by `backoff_limit`)
 // before re-probing, keeping repeat losers off the contended line.
-template <typename Key, typename Compare, typename Check,
-          typename Tel = std::nullptr_t>
+template <typename Key, typename Compare, typename Check>
 bool build_lanes(TreeState<Key, Compare>& st, const std::int64_t* elems,
                  const std::int64_t* parents, int count,
                  std::uint32_t backoff_limit, BuildTally& tally,
-                 Check&& keep_going, Tel tel = nullptr) {
-  constexpr bool kTel = telemetry::kTelEnabled<Tel>;
+                 Check&& keep_going, telemetry::WorkerScratch* tel = nullptr) {
   struct Lane {
     std::int64_t elem;
     std::int64_t parent;
@@ -330,8 +319,7 @@ bool build_lanes(TreeState<Key, Compare>& st, const std::int64_t* elems,
     std::uint64_t fails;
     std::uint32_t lost;  // lost install CASes (drives the backoff schedule)
   };
-  [[maybe_unused]] bool tel_detail = false;
-  if constexpr (kTel) tel_detail = tel != nullptr && tel->detail;
+  const bool tel_detail = tel != nullptr && tel->detail;
   Lane lanes[kBuildLanes];
   int active = 0;
   for (int k = 0; k < count && active < kBuildLanes; ++k) {
@@ -377,26 +365,11 @@ bool build_lanes(TreeState<Key, Compare>& st, const std::int64_t* elems,
       ++ln.iterations;
       WFSORT_DCHECK(ln.iterations <= static_cast<std::uint64_t>(st.n()));
       if (installed || c == ln.elem) {
-        if constexpr (kTel) {
-          tally.add({ln.iterations, ln.fails, installed ? 1u : 0u});
-          if (tel_detail) {
-            tel->rep.cas_retries.add(ln.fails);
-            tel->count(telemetry::Counter::kCasFailures, ln.fails);
-            if (installed) tel->count(telemetry::Counter::kCasInstalls);
-            if (ln.fails >= kCasBurstThreshold) {
-              tel->emit(telemetry::FlightKind::kCasFailBurst, 0,
-                        static_cast<std::uint32_t>(ln.fails),
-                        static_cast<std::uint64_t>(ln.elem));
-            }
-          }
-        } else {
-          tally.add({ln.iterations, 0, installed ? 1u : 0u});
-        }
+        tally.add({ln.iterations, ln.fails, installed ? 1u : 0u});
+        if (tel_detail) record_descent(*tel, ln.elem, ln.fails, installed);
         if (!keep_going()) {
-          if constexpr (kTel) {
-            for (int k = 0; k < active; ++k) {
-              if (k != l) tally.cas_failures += lanes[k].fails;
-            }
+          for (int k = 0; k < active; ++k) {
+            if (k != l) tally.cas_failures += lanes[k].fails;
           }
           return false;
         }
@@ -406,11 +379,7 @@ bool build_lanes(TreeState<Key, Compare>& st, const std::int64_t* elems,
         }
         continue;
       }
-      if constexpr (kTel) {
-        ++ln.fails;
-      } else {
-        ++tally.cas_failures;
-      }
+      ++ln.fails;
       ln.parent = c;
       st.prefetch(c);
       ++l;

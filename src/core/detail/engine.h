@@ -80,24 +80,6 @@ inline Rng worker_stage_rng(std::uint64_t seed, std::uint32_t tid, LcRngStage st
   return Rng(seed ^ tid).fork(static_cast<std::uint64_t>(stage));
 }
 
-// Phase durations are tracked as integral microseconds so the max can be
-// maintained with a plain atomic.
-class PhaseClock {
- public:
-  void start() { t0_ = std::chrono::steady_clock::now(); }
-  // Record the elapsed time into `slot` (max over workers) and restart.
-  void lap(std::atomic<std::uint64_t>& slot) {
-    const auto now = std::chrono::steady_clock::now();
-    const auto us = static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(now - t0_).count());
-    atomic_fetch_max(slot, us);
-    t0_ = now;
-  }
-
- private:
-  std::chrono::steady_clock::time_point t0_{};
-};
-
 // Below this size the low-contention variant falls back to the
 // deterministic one: with fewer elements than this there is no slice worth
 // pre-sorting and no contention worth spreading.  (Namespace scope, not
@@ -203,20 +185,10 @@ class Engine {
     // Closes the worker's open span on every exit path, so a fault-injected
     // crash leaves a truncated span instead of a dangling one.
     telemetry::ScratchCloser closer(tel);
-    // Compile-time fork: the nullptr instantiation of the per-variant
-    // programs is the untraced hot path, identical to pre-telemetry code.
-    bool ok;
-    if (tel != nullptr) {
-      ok = effective_variant_ != Variant::kDeterministic
-               ? run_low_contention(tid, plan, tel)
-               : (part_ != nullptr ? run_partition(tid, plan, tel)
-                                   : run_deterministic(tid, plan, tel));
-    } else {
-      ok = effective_variant_ != Variant::kDeterministic
-               ? run_low_contention(tid, plan, nullptr)
-               : (part_ != nullptr ? run_partition(tid, plan, nullptr)
-                                   : run_deterministic(tid, plan, nullptr));
-    }
+    const bool ok = effective_variant_ != Variant::kDeterministic
+                        ? run_low_contention(tid, plan, tel)
+                        : (part_ != nullptr ? run_partition(tid, plan, tel)
+                                            : run_deterministic(tid, plan, tel));
     if (!ok) {
       // mark_crashed lands the post-mortem kFault event in the victim's own
       // ring (single-writer rule: the dying worker writes its own epitaph).
@@ -227,7 +199,7 @@ class Engine {
     // This worker placed or pruned-as-placed every element, so the output
     // is fully assembled: help copy it back while stragglers keep going
     // (they only touch the node records, never the caller's buffer).
-    if (tel != nullptr) tel->begin_phase(telemetry::PhaseId::kCopyBack);
+    enter_phase(tel, telemetry::PhaseId::kCopyBack);
     assist_copy_back();
     return true;
   }
@@ -278,11 +250,13 @@ class Engine {
     s.fat_read_misses = fat_misses_.load(std::memory_order_relaxed);
     s.telemetry = report_;
     s.tree_depth = measured_depth();
-    s.phase1_ms = static_cast<double>(phase1_us_.load(std::memory_order_relaxed)) / 1000.0;
-    s.phase2_ms = static_cast<double>(phase2_us_.load(std::memory_order_relaxed)) / 1000.0;
-    s.phase3_ms = static_cast<double>(phase3_us_.load(std::memory_order_relaxed)) / 1000.0;
     return s;
   }
+
+  std::size_t size() const { return data_.size(); }
+
+  // When construction began: the start of the call's wall clock.
+  std::chrono::steady_clock::time_point started() const { return started_; }
 
   TreeState<Key, Compare>& state() { return st_; }
   const TreeState<Key, Compare>& state() const { return st_; }
@@ -402,230 +376,146 @@ class Engine {
     }
   }
 
-  // --- deterministic variant (Section 2) ---
-  // `Tel` is telemetry::WorkerScratch* (recording) or std::nullptr_t; the
-  // nullptr instantiation strips every telemetry site at compile time.
-  template <typename Tel>
-  bool run_deterministic(std::uint32_t tid, runtime::FaultPlan* plan, Tel tel) {
-    constexpr bool kTel = telemetry::kTelEnabled<Tel>;
-    const auto chk = [plan, tid] { return plan == nullptr || plan->checkpoint(tid); };
-    [[maybe_unused]] bool tel_detail = false;
-    if constexpr (kTel) tel_detail = tel->detail;
-    const std::int64_t n = st_.n();
+  static void enter_phase(telemetry::WorkerScratch* tel, telemetry::PhaseId p) {
+    if (tel != nullptr) tel->begin_phase(p);
+  }
 
-    PhaseClock clock;
-    clock.start();
-    if constexpr (kTel) tel->begin_phase(telemetry::PhaseId::kBuild);
+  // Drive `wat` to completion from this worker's initial leaf (`slot` of
+  // `slots` spreads the workers over the leaves), running `job(j)` on every
+  // job leaf it claims.  Polls the fault checkpoint before every WAT step;
+  // returns false if the worker was aborted.
+  template <typename Check, typename Job>
+  static bool drive_wat(Wat& wat, std::uint32_t slot, std::uint32_t slots,
+                        const Check& chk, telemetry::WorkerScratch* tel,
+                        Job&& job) {
+    const bool tel_detail = tel != nullptr && tel->detail;
+    std::uint64_t probes = 1;  // WAT nodes visited since the last claim
+    std::int64_t node = wat.initial_leaf(slot, slots);
+    while (true) {
+      if (!chk()) return false;
+      if (wat.is_job_leaf(node)) {
+        const std::uint64_t j = wat.job_of(node);
+        if (tel_detail) {
+          tel->wat_claim(0, probes, j);
+          probes = 0;
+        }
+        if (!job(static_cast<std::int64_t>(j))) return false;
+      }
+      node = wat.next_element(node);
+      ++probes;
+      if (node == Wat::kAllJobsDone) return true;
+    }
+  }
+
+  // --- deterministic variant (Section 2) ---
+  // `tel` is the worker's telemetry scratch, null at Level::kOff.
+  bool run_deterministic(std::uint32_t tid, runtime::FaultPlan* plan,
+                         telemetry::WorkerScratch* tel) {
+    const auto chk = [plan, tid] { return plan == nullptr || plan->checkpoint(tid); };
+    const std::int64_t n = st_.n();
+    const auto batch = static_cast<std::int64_t>(wat_batch_);
+
     // Phase 1: WAT-allocated tree building, one batch of adjacent jobs per
     // claimed leaf.
+    enter_phase(tel, telemetry::PhaseId::kBuild);
     BuildTally tally;
-    std::int64_t node = wat_.initial_leaf(tid, nominal_threads_);
-    [[maybe_unused]] std::uint64_t wat_probes = 1;  // WAT nodes since last claim
-    while (true) {
-      if (!chk()) {
-        flush_build(tally);
-        return false;
-      }
-      if (wat_.is_job_leaf(node)) {
-        if constexpr (kTel) {
-          if (tel_detail) {
-            tel->count(telemetry::Counter::kWatClaims);
-            tel->count(telemetry::Counter::kWatProbes, wat_probes);
-            tel->rep.wat_probes.add(wat_probes);
-            tel->emit(telemetry::FlightKind::kWatClaim, 0,
-                      static_cast<std::uint32_t>(wat_probes), wat_.job_of(node));
-            wat_probes = 0;
-          }
-        }
-        const std::int64_t lo =
-            static_cast<std::int64_t>(wat_.job_of(node) * wat_batch_);
-        const std::int64_t hi =
-            std::min<std::int64_t>(n, lo + static_cast<std::int64_t>(wat_batch_));
-        if (!build_batch(st_, lo, hi, tally, chk, tel)) {
-          flush_build(tally);
-          return false;
-        }
-      }
-      node = wat_.next_element(node);
-      if constexpr (kTel) {
-        if (tel_detail) ++wat_probes;
-      }
-      if (node == Wat::kAllJobsDone) break;
-    }
+    const bool built =
+        drive_wat(wat_, tid, nominal_threads_, chk, tel, [&](std::int64_t j) {
+          return build_batch(st_, j * batch, std::min(n, j * batch + batch),
+                             tally, chk, tel);
+        });
     flush_build(tally);
-    clock.lap(phase1_us_);
+    if (!built) return false;
     // Phases 2 and 3.
-    if constexpr (kTel) tel->begin_phase(telemetry::PhaseId::kSum);
+    enter_phase(tel, telemetry::PhaseId::kSum);
     if (!tree_sum(st_, tid, chk)) return false;
-    clock.lap(phase2_us_);
-    if constexpr (kTel) tel->begin_phase(telemetry::PhaseId::kPlace);
-    if (!find_place_emit(st_, tid, opts_.prune, seq_cutoff_, chk, tel)) return false;
-    clock.lap(phase3_us_);
-    return true;
+    enter_phase(tel, telemetry::PhaseId::kPlace);
+    return find_place_emit(st_, tid, opts_.prune, seq_cutoff_, chk, tel);
   }
 
   // --- deterministic variant with the blocked-partition phase 1 ---
   // Same worker contract as run_deterministic: helps every sweep to its own
   // completion, crashes leave only idempotent state, nobody waits.  Sweep
-  // structure and its correctness argument live in partition_phase.h; the
-  // phase clock maps classify/scatter/buckets onto the phase1/2/3 slots.
-  template <typename Tel>
-  bool run_partition(std::uint32_t tid, runtime::FaultPlan* plan, Tel tel) {
-    constexpr bool kTel = telemetry::kTelEnabled<Tel>;
+  // structure and its correctness argument live in partition_phase.h.
+  bool run_partition(std::uint32_t tid, runtime::FaultPlan* plan,
+                     telemetry::WorkerScratch* tel) {
     const auto chk = [plan, tid] { return plan == nullptr || plan->checkpoint(tid); };
-    [[maybe_unused]] bool tel_detail = false;
-    if constexpr (kTel) tel_detail = tel->detail;
     PartitionShared<Key>& ps = *part_;
     // thread_local: pooled workers keep the classify/scatter scratch warm
     // across runs (run_worker is never reentrant on one thread).
     static thread_local PartitionLocal<Key> local;
     local.begin_run();
-
-    const auto flush = [&] {
-      if constexpr (kTel) {
-        if (tel_detail) {
-          tel->count(telemetry::Counter::kLeafBlocks, local.tally.blocks);
-          tel->count(telemetry::Counter::kLeafInsertionSorts,
-                     local.tally.insertion_sorts);
-          tel->count(telemetry::Counter::kLeafHeapsorts, local.tally.heapsorts);
-          tel->count(telemetry::Counter::kPartitionSwaps,
-                     local.tally.partition_swaps);
-          if (ps.buckets > 1) {
-            tel->count(telemetry::Counter::kSplitterSamples,
-                       static_cast<std::uint64_t>(ps.sample_size));
-          }
-        }
-      }
-    };
-    // Drive `wat` to completion, running `job` on every claimed leaf — the
-    // run_deterministic phase-1 loop, generalized over the job body.
-    [[maybe_unused]] std::uint64_t wat_probes = 1;
-    const auto drive = [&](Wat& wat, auto&& job) -> bool {
-      std::int64_t node = wat.initial_leaf(tid, nominal_threads_);
-      if constexpr (kTel) wat_probes = 1;
-      while (true) {
-        if (!chk()) return false;
-        if (wat.is_job_leaf(node)) {
-          if constexpr (kTel) {
-            if (tel_detail) {
-              tel->count(telemetry::Counter::kWatClaims);
-              tel->count(telemetry::Counter::kWatProbes, wat_probes);
-              tel->rep.wat_probes.add(wat_probes);
-              tel->emit(telemetry::FlightKind::kWatClaim, 0,
-                        static_cast<std::uint32_t>(wat_probes), wat.job_of(node));
-              wat_probes = 0;
-            }
-          }
-          if (!job(static_cast<std::int64_t>(wat.job_of(node)))) return false;
-        }
-        node = wat.next_element(node);
-        if constexpr (kTel) {
-          if (tel_detail) ++wat_probes;
-        }
-        if (node == Wat::kAllJobsDone) return true;
-      }
+    const auto sweep = [&](Wat& wat, auto&& job) {
+      return drive_wat(wat, tid, nominal_threads_, chk, tel, job);
     };
 
-    PhaseClock clock;
-    clock.start();
-    if constexpr (kTel) tel->begin_phase(telemetry::PhaseId::kPartClassify);
+    enter_phase(tel, telemetry::PhaseId::kPartClassify);
     bool ok = partition_prepare(st_, ps, local, chk) &&
-              drive(ps.classify_wat, [&](std::int64_t c) {
+              sweep(ps.classify_wat, [&](std::int64_t c) {
                 return partition_classify(st_, ps, local, c, chk);
               });
-    if (!ok) {
-      flush();
-      return false;
+    if (ok) {
+      enter_phase(tel, telemetry::PhaseId::kPartScatter);
+      ok = partition_offsets(ps, local, chk) &&
+           sweep(ps.scatter_wat, [&](std::int64_t c) {
+             return partition_scatter(st_, ps, local, c, chk);
+           });
     }
-    clock.lap(phase1_us_);
-
-    if constexpr (kTel) tel->begin_phase(telemetry::PhaseId::kPartScatter);
-    ok = partition_offsets(ps, local, chk) &&
-         drive(ps.scatter_wat, [&](std::int64_t c) {
-           return partition_scatter(st_, ps, local, c, chk);
-         });
-    if (!ok) {
-      flush();
-      return false;
+    if (ok) {
+      enter_phase(tel, telemetry::PhaseId::kPartSort);
+      ok = sweep(ps.bucket_wat, [&](std::int64_t b) {
+        return partition_bucket(st_, ps, local, b, chk);
+      });
     }
-    clock.lap(phase2_us_);
-
-    if constexpr (kTel) tel->begin_phase(telemetry::PhaseId::kPartSort);
-    ok = drive(ps.bucket_wat, [&](std::int64_t b) {
-      return partition_bucket(st_, ps, local, b, chk);
-    });
-    flush();
-    if (!ok) return false;
-    clock.lap(phase3_us_);
-    return true;
+    if (tel != nullptr && tel->detail) {
+      tel->count(telemetry::Counter::kLeafBlocks, local.tally.blocks);
+      tel->count(telemetry::Counter::kLeafInsertionSorts,
+                 local.tally.insertion_sorts);
+      tel->count(telemetry::Counter::kLeafHeapsorts, local.tally.heapsorts);
+      tel->count(telemetry::Counter::kPartitionSwaps, local.tally.partition_swaps);
+      if (ps.buckets > 1) {
+        tel->count(telemetry::Counter::kSplitterSamples,
+                   static_cast<std::uint64_t>(ps.sample_size));
+      }
+    }
+    return ok;
   }
 
   // --- randomized low-contention variant (Section 3) ---
-  template <typename Tel>
-  bool run_low_contention(std::uint32_t tid, runtime::FaultPlan* plan, Tel tel) {
-    constexpr bool kTel = telemetry::kTelEnabled<Tel>;
+  bool run_low_contention(std::uint32_t tid, runtime::FaultPlan* plan,
+                          telemetry::WorkerScratch* tel) {
     const auto chk = [plan, tid] { return plan == nullptr || plan->checkpoint(tid); };
-    [[maybe_unused]] bool tel_detail = false;
-    if constexpr (kTel) tel_detail = tel->detail;
+    const bool tel_detail = tel != nullptr && tel->detail;
     LcShared& lc = *lc_;
-    PhaseClock clock;
-    clock.start();
     BuildTally tally;
     std::uint64_t fat_misses = 0;
+    const auto fail = [&] {
+      flush_build(tally);
+      return false;
+    };
 
     // Stage A: this worker's group pre-sorts its slice with the
     // deterministic algorithm (paper step 1).
-    if constexpr (kTel) tel->begin_phase(telemetry::PhaseId::kLcPresort);
+    enter_phase(tel, telemetry::PhaseId::kLcPresort);
     const std::uint32_t group = tid % lc.groups;
     const std::uint32_t group_workers =
         std::max<std::uint32_t>(1, nominal_threads_ / lc.groups);
     TreeState<Key, Compare>& gst = lc.group_states[group];
-    Wat& gwat = lc.group_wats[group];
-    const std::int64_t slice_n = static_cast<std::int64_t>(lc.slice_len);
-    std::int64_t node = gwat.initial_leaf(tid / lc.groups, group_workers);
-    [[maybe_unused]] std::uint64_t wat_probes = 1;  // WAT nodes since last claim
-    while (true) {
-      if (!chk()) {
-        flush_build(tally);
-        return false;
-      }
-      if (gwat.is_job_leaf(node)) {
-        if constexpr (kTel) {
-          if (tel_detail) {
-            tel->count(telemetry::Counter::kWatClaims);
-            tel->count(telemetry::Counter::kWatProbes, wat_probes);
-            tel->rep.wat_probes.add(wat_probes);
-            tel->emit(telemetry::FlightKind::kWatClaim, 0,
-                      static_cast<std::uint32_t>(wat_probes), gwat.job_of(node));
-            wat_probes = 0;
-          }
-        }
-        const std::int64_t lo =
-            static_cast<std::int64_t>(gwat.job_of(node) * wat_batch_);
-        const std::int64_t hi =
-            std::min<std::int64_t>(slice_n, lo + static_cast<std::int64_t>(wat_batch_));
-        if (!build_batch(gst, lo, hi, tally, chk, tel)) {
-          flush_build(tally);
-          return false;
-        }
-      }
-      node = gwat.next_element(node);
-      if constexpr (kTel) {
-        if (tel_detail) ++wat_probes;
-      }
-      if (node == Wat::kAllJobsDone) break;
-    }
-    if (!tree_sum(gst, tid, chk)) {
-      flush_build(tally);
-      return false;
-    }
-    if (!find_place_emit(gst, tid, PrunePlaced::kNo, seq_cutoff_, chk, tel)) {
-      flush_build(tally);
-      return false;
-    }
+    const auto slice_n = static_cast<std::int64_t>(lc.slice_len);
+    const auto batch = static_cast<std::int64_t>(wat_batch_);
+    const bool presorted =
+        drive_wat(lc.group_wats[group], tid / lc.groups, group_workers, chk, tel,
+                  [&](std::int64_t j) {
+                    return build_batch(gst, j * batch,
+                                       std::min(slice_n, j * batch + batch),
+                                       tally, chk, tel);
+                  }) &&
+        tree_sum(gst, tid, chk) &&
+        find_place_emit(gst, tid, PrunePlaced::kNo, seq_cutoff_, chk, tel);
+    if (!presorted) return fail();
 
     // Stage B: pick the winning group (paper step 2; Figure 9).
-    if constexpr (kTel) tel->begin_phase(telemetry::PhaseId::kLcWinner);
+    enter_phase(tel, telemetry::PhaseId::kLcWinner);
     Rng rng_winner = worker_stage_rng(opts_.seed, tid, LcRngStage::kWinner);
     const std::int64_t w = lc.winner.compete(tid, group, rng_winner);
 
@@ -635,7 +525,7 @@ class Engine {
     // same for every worker — each builder fills its own per-worker buffer
     // (never shared bytes), the first to finish publishes its pointer
     // write-once, and everyone else reuses the published copy.
-    if constexpr (kTel) tel->begin_phase(telemetry::PhaseId::kLcSortedIdx);
+    enter_phase(tel, telemetry::PhaseId::kLcSortedIdx);
     const std::int64_t* si = lc.sorted_idx.load(std::memory_order_acquire);
     if (si == nullptr) {
       WFSORT_CHECK(tid < lc.sorted_slots);
@@ -643,10 +533,7 @@ class Engine {
           lc.sorted_bufs + static_cast<std::uint64_t>(tid) * lc.slice_len;
       TreeState<Key, Compare>& wst = lc.group_states[static_cast<std::size_t>(w)];
       for (std::uint64_t i = 0; i < lc.slice_len; ++i) {
-        if (!chk()) {
-          flush_build(tally);
-          return false;
-        }
+        if (!chk()) return fail();
         const std::int64_t pl = wst.place_of(static_cast<std::int64_t>(i));
         WFSORT_CHECK(pl > 0);
         built[static_cast<std::size_t>(pl - 1)] =
@@ -667,16 +554,13 @@ class Engine {
     // Stage D: fatten the winner tree (write-most) and stitch its structure
     // into the main pivot tree.  All writes are idempotent (identical values
     // from every worker), so no coordination is needed.
-    if constexpr (kTel) tel->begin_phase(telemetry::PhaseId::kLcFatten);
+    enter_phase(tel, telemetry::PhaseId::kLcFatten);
     Rng rng_fatten = worker_stage_rng(opts_.seed, tid, LcRngStage::kFatten);
     lc.fat.write_random_cells(sorted_idx, lc.fat.fill_quota(nominal_threads_), rng_fatten);
     const std::int64_t root = sorted_idx[lc.fat.rank_of(0)];
     st_.set_root(root);
     for (std::uint64_t f = 0; f < lc.fat.node_count(); ++f) {
-      if (!chk()) {
-        flush_build(tally);
-        return false;
-      }
+      if (!chk()) return fail();
       const std::int64_t pe = sorted_idx[lc.fat.rank_of(f)];
       if (!lc.fat.is_leaf(f)) {
         const std::int64_t se = sorted_idx[lc.fat.rank_of(lc.fat.left(f))];
@@ -702,7 +586,7 @@ class Engine {
     // across it.  Elements descend the fat tree eight at a time with a
     // pre-drawn copy plane and prefetch (fat_handoffs), then enter the
     // pivot tree through build_lanes with bounded CAS backoff.
-    if constexpr (kTel) tel->begin_phase(telemetry::PhaseId::kLcInsert);
+    enter_phase(tel, telemetry::PhaseId::kLcInsert);
     Rng rng_insert = worker_stage_rng(opts_.seed, tid, LcRngStage::kInsert);
     const std::int64_t wbase = static_cast<std::int64_t>(w) *
                                static_cast<std::int64_t>(lc.slice_len);
@@ -714,17 +598,11 @@ class Engine {
     static thread_local std::vector<std::int64_t> run;
     run.clear();
     run.reserve(static_cast<std::size_t>(wat_batch_));
-    [[maybe_unused]] std::uint64_t lcwat_probes = 0;  // step() calls since last claim
+    std::uint64_t lcwat_probes = 0;  // step() calls since last claim
     const auto insert_run = [&](std::uint64_t j) {
-      if constexpr (kTel) {
-        if (tel_detail) {
-          tel->count(telemetry::Counter::kWatClaims);
-          tel->count(telemetry::Counter::kWatProbes, lcwat_probes);
-          tel->rep.wat_probes.add(lcwat_probes);
-          tel->emit(telemetry::FlightKind::kWatClaim, 1,
-                    static_cast<std::uint32_t>(lcwat_probes), j);
-          lcwat_probes = 0;
-        }
+      if (tel_detail) {
+        tel->wat_claim(1, lcwat_probes, j);
+        lcwat_probes = 0;
       }
       const std::uint64_t stride = lc.insert_wat.jobs();
       const std::uint64_t un = static_cast<std::uint64_t>(n);
@@ -753,57 +631,46 @@ class Engine {
                     tally, no_abort, tel);
       }
     };
-    const auto flush_insert = [&] {
-      flush_build(tally);
-      if (fat_misses != 0) fat_misses_.fetch_add(fat_misses, std::memory_order_relaxed);
-      if constexpr (kTel) {
-        if (tel_detail) {
-          tel->count(telemetry::Counter::kFatMisses, fat_misses);
-          tel->count(telemetry::Counter::kFatHits, fat_reads - fat_misses);
-          tel->count(telemetry::Counter::kBackoffSpins, tally.backoff_spins);
-        }
-      }
-    };
+    bool inserted = true;
     while (true) {
       if (!chk()) {
-        flush_insert();
-        return false;
+        inserted = false;
+        break;
       }
-      if constexpr (kTel) {
-        if (tel_detail) ++lcwat_probes;
-      }
+      ++lcwat_probes;
       if (lc.insert_wat.step(rng_insert, insert_run) == LcWat::Outcome::kQuit) break;
     }
-    flush_insert();
+    flush_build(tally);
+    if (fat_misses != 0) fat_misses_.fetch_add(fat_misses, std::memory_order_relaxed);
+    if (tel_detail) {
+      tel->count(telemetry::Counter::kFatMisses, fat_misses);
+      tel->count(telemetry::Counter::kFatHits, fat_reads - fat_misses);
+      tel->count(telemetry::Counter::kBackoffSpins, tally.backoff_spins);
+    }
+    if (!inserted) return false;
 
-    clock.lap(phase1_us_);
     // Stages F, G: randomized summation and placement (Section 3.3), with
     // per-worker probe tallies flushed once per stage.
     LcProbeTally probe_tally;
     const auto flush_probes = [&] {
-      if constexpr (kTel) {
-        if (tel_detail) {
-          tel->count(telemetry::Counter::kLcProbes, probe_tally.probes);
-          tel->count(telemetry::Counter::kLcBurstVisits, probe_tally.visits);
-          probe_tally = {};
-        }
+      if (tel_detail) {
+        tel->count(telemetry::Counter::kLcProbes, probe_tally.probes);
+        tel->count(telemetry::Counter::kLcBurstVisits, probe_tally.visits);
+        probe_tally = {};
       }
     };
-    if constexpr (kTel) tel->begin_phase(telemetry::PhaseId::kSum);
+    enter_phase(tel, telemetry::PhaseId::kSum);
     Rng rng_sum = worker_stage_rng(opts_.seed, tid, LcRngStage::kSum);
     const bool sum_ok =
         lc_tree_sum(st_, lc.sum_marks, rng_sum, opts_.lc_burst, probe_tally, chk);
     flush_probes();
     if (!sum_ok) return false;
-    clock.lap(phase2_us_);
-    if constexpr (kTel) tel->begin_phase(telemetry::PhaseId::kPlace);
+    enter_phase(tel, telemetry::PhaseId::kPlace);
     Rng rng_place = worker_stage_rng(opts_.seed, tid, LcRngStage::kPlace);
     const bool place_ok = lc_find_place_emit(st_, lc.place_marks, rng_place,
                                              opts_.lc_burst, probe_tally, chk);
     flush_probes();
-    if (!place_ok) return false;
-    clock.lap(phase3_us_);
-    return true;
+    return place_ok;
   }
 
   // Batched fat-tree descents for up to kBuildLanes elements: each element
@@ -856,6 +723,9 @@ class Engine {
     return measured_depth_;
   }
 
+  // Declared first, so it is stamped before any other member is built.
+  const std::chrono::steady_clock::time_point started_ =
+      std::chrono::steady_clock::now();
   std::span<Key> data_;
   Options opts_;
   Variant effective_variant_;
@@ -889,9 +759,6 @@ class Engine {
   std::atomic<std::uint32_t> crashed_{0};
   mutable std::uint32_t measured_depth_ = 0;  // lazy; see measured_depth()
   std::atomic<std::uint64_t> fat_misses_{0};
-  std::atomic<std::uint64_t> phase1_us_{0};
-  std::atomic<std::uint64_t> phase2_us_{0};
-  std::atomic<std::uint64_t> phase3_us_{0};
 };
 
 }  // namespace wfsort::detail

@@ -17,12 +17,12 @@
 // because sizes propagate bottom-up: size > 0 implies the whole subtree is
 // summed.  Figure 6 prunes on place > 0, but places propagate TOP-DOWN, so
 // a placed subtree root says nothing about its interior; under crashes —
-// or merely under skewed phase entry — that rule either loses work or
-// serializes a whole claimed subtree onto one processor (see DESIGN.md and
-// EXPERIMENTS.md E12).  PrunePlaced selects between:
+// or merely under skewed phase entry, which real threads supply unasked —
+// that rule loses work (see DESIGN.md and EXPERIMENTS.md E12).  Only the
+// simulator implements it (sim::PlacePrune::kPlaced).  PrunePlaced selects
+// between:
 //   kNo    — never prune: every worker re-traverses everything (always
 //            correct; O(N) per worker);
-//   kYes   — the paper's rule (fast only under faultless lockstep entry);
 //   kDone  — prune on an explicit bottom-up completion flag, giving
 //            phase-2 semantics to phase 3: crash-safe AND work-sharing.
 //            This is the default.
@@ -215,11 +215,10 @@ bool sort_block(TreeState<Key, Compare>& st, std::int64_t node, std::int64_t sub
 // Phase 3 with output emission: place every element and store it into
 // st.out at its final rank.  Subtrees of at most `seq_cutoff` elements are
 // handled by sort_block (0 disables the cutoff).
-template <typename Key, typename Compare, typename Check,
-          typename Tel = std::nullptr_t>
+template <typename Key, typename Compare, typename Check>
 bool find_place_emit(TreeState<Key, Compare>& st, std::uint32_t pid, PrunePlaced prune,
-                     std::uint64_t seq_cutoff, Check&& keep_going, Tel tel = nullptr) {
-  constexpr bool kTel = telemetry::kTelEnabled<Tel>;
+                     std::uint64_t seq_cutoff, Check&& keep_going,
+                     telemetry::WorkerScratch* tel = nullptr) {
   if (st.n() == 0) return true;
   struct Frame {
     std::int64_t node;
@@ -253,10 +252,6 @@ bool find_place_emit(TreeState<Key, Compare>& st, std::uint32_t pid, PrunePlaced
       stack.pop_back();
       continue;
     }
-    if (prune == PrunePlaced::kYes && st.place_of(f.node) > 0) {
-      stack.pop_back();
-      continue;
-    }
     if (prune == PrunePlaced::kDone && st.place_done_of(f.node)) {
       stack.pop_back();
       continue;
@@ -268,28 +263,24 @@ bool find_place_emit(TreeState<Key, Compare>& st, std::uint32_t pid, PrunePlaced
       if (!sort_block(st, f.node, f.sub, items, scratch, lt, keep_going)) {
         return false;
       }
-      if constexpr (kTel) {
-        bool claimed = true;
-        if (prune == PrunePlaced::kDone) claimed = st.try_claim_place_done(f.node);
-        if (tel != nullptr && tel->detail) {
-          tel->count(telemetry::Counter::kSeqBlocks);
-          tel->count(telemetry::Counter::kSeqBlockElems,
-                     static_cast<std::uint64_t>(st.size_of(f.node)));
-          // A lost completion-flag CAS means another worker already walked
-          // this block: the walk just performed was duplicated work.
-          if (!claimed) tel->count(telemetry::Counter::kSeqBlockRepeats);
-          tel->count(telemetry::Counter::kLeafBlocks, lt.blocks);
-          tel->count(telemetry::Counter::kLeafInsertionSorts, lt.insertion_sorts);
-          tel->count(telemetry::Counter::kLeafHeapsorts, lt.heapsorts);
-          tel->count(telemetry::Counter::kPartitionSwaps, lt.partition_swaps);
-          // Flight event per sequential block: value = subtree root,
-          // a32 = block size, a8 = 1 when the walk was a duplicate.
-          tel->emit(telemetry::FlightKind::kLeafBlock, claimed ? 0 : 1,
-                    static_cast<std::uint32_t>(st.size_of(f.node)),
-                    static_cast<std::uint64_t>(f.node));
-        }
-      } else {
-        if (prune == PrunePlaced::kDone) st.try_claim_place_done(f.node);
+      const bool claimed =
+          prune != PrunePlaced::kDone || st.try_claim_place_done(f.node);
+      if (tel != nullptr && tel->detail) {
+        tel->count(telemetry::Counter::kSeqBlocks);
+        tel->count(telemetry::Counter::kSeqBlockElems,
+                   static_cast<std::uint64_t>(st.size_of(f.node)));
+        // A lost completion-flag CAS means another worker already walked
+        // this block: the walk just performed was duplicated work.
+        if (!claimed) tel->count(telemetry::Counter::kSeqBlockRepeats);
+        tel->count(telemetry::Counter::kLeafBlocks, lt.blocks);
+        tel->count(telemetry::Counter::kLeafInsertionSorts, lt.insertion_sorts);
+        tel->count(telemetry::Counter::kLeafHeapsorts, lt.heapsorts);
+        tel->count(telemetry::Counter::kPartitionSwaps, lt.partition_swaps);
+        // Flight event per sequential block: value = subtree root,
+        // a32 = block size, a8 = 1 when the walk was a duplicate.
+        tel->emit(telemetry::FlightKind::kLeafBlock, claimed ? 0 : 1,
+                  static_cast<std::uint32_t>(st.size_of(f.node)),
+                  static_cast<std::uint64_t>(f.node));
       }
       stack.pop_back();
       continue;

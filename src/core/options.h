@@ -21,15 +21,16 @@ enum class Variant {
   kLowContention,
 };
 
-// How phase 3 skips subtrees other workers already handled.  Figure 6
-// prunes when the subtree root's place is set (kYes), but place propagates
-// top-down, so the rule is only sound under faultless lockstep entry — a
-// crash (or mere phase-entry skew) strands or serializes the claimed
-// subtree.  kNo never prunes (every worker re-traverses everything,
-// trivially safe).  kDone — the default — prunes on an explicit bottom-up
-// completion flag instead, which is crash-safe AND lets workers share the
-// remaining work; bench fig_e12 quantifies all three.
-enum class PrunePlaced { kNo, kYes, kDone };
+// How phase 3 skips subtrees other workers already handled.  kNo never
+// prunes (every worker re-traverses everything, trivially safe).  kDone —
+// the default — prunes on an explicit bottom-up completion flag, which is
+// crash-safe AND lets workers share the remaining work.  Figure 6's own
+// rule (prune when the subtree root's place is set) is not offered here:
+// place propagates top-down, so on real threads mere phase-entry skew lets
+// a worker finish with part of the output still unwritten.  The simulator
+// keeps it as sim::PlacePrune::kPlaced, where lockstep entry holds; bench
+// fig_e12 compares all three.
+enum class PrunePlaced { kNo, kDone };
 
 // How the deterministic variant turns the unsorted input into placeable
 // structure (phase 1).
@@ -151,13 +152,11 @@ struct SortStats {
   // fell back to the authoritative slice (see FatTree::read).
   std::uint64_t fat_read_misses = 0;
 
-  // Wall-clock milliseconds spent in each phase, maximum over the workers
-  // that completed (the critical path through a phase).  For the
-  // low-contention variant phase1 covers stages A-E and the remaining two
-  // map to the randomized summation / placement probes.
-  double phase1_ms = 0.0;
-  double phase2_ms = 0.0;
-  double phase3_ms = 0.0;
+  // Wall-clock milliseconds of the whole call, from engine construction to
+  // the delivered result, as the caller experiences it.  Per-phase time
+  // comes only from the telemetry spans (Options::telemetry >= kPhases).
+  // A SortSession has no single call to time and leaves it 0.
+  double wall_ms = 0.0;
 
   // The run's telemetry snapshot, when Options::telemetry asked for one;
   // null at Level::kOff and while the run is still live (the snapshot is

@@ -2,7 +2,7 @@
 // recycled per-variant RunArenas (ISSUE 10).
 //
 // The one-shot entry points in sort.h pay the full setup bill on every
-// call: spawn P threads, allocate the pivot-tree / WAT / partition / LC
+// call: spawn P-1 threads, allocate the pivot-tree / WAT / partition / LC
 // storage, sort, free, join.  For large N that bill is noise; for small N
 // it IS the latency.  A SortPool hoists all of it to process lifetime:
 //
@@ -49,7 +49,7 @@
 #include "common/arena.h"
 #include "common/check.h"
 #include "core/detail/engine.h"
-#include "core/detail/run_glue.h"
+#include "core/detail/driver.h"
 #include "core/options.h"
 #include "runtime/fault_plan.h"
 #include "telemetry/recorder.h"
@@ -101,14 +101,14 @@ class SortPool {
   template <typename T, typename Compare = std::less<T>>
   void sort(std::span<T> data, const Options& opts = {},
             SortStats* stats = nullptr, Compare cmp = Compare{}) {
-    run_to_completion<T, Compare>(data, opts, stats, nullptr, cmp);
+    run<T, Compare>(data, opts, stats, nullptr, cmp);
   }
 
   template <typename T, typename Compare = std::less<T>>
   bool sort_with_faults(std::span<T> data, const Options& opts,
                         runtime::FaultPlan& plan, SortStats* stats = nullptr,
                         Compare cmp = Compare{}) {
-    return run_to_completion<T, Compare>(data, opts, stats, &plan, cmp);
+    return run<T, Compare>(data, opts, stats, &plan, cmp);
   }
 
   // Fire-and-return a single worker-id job (SortSession's spawn_worker).
@@ -224,28 +224,47 @@ class SortPool {
     return kLaneDetTree;
   }
 
-  // Type-erased trampoline a pooled sort hands to the job slots.
-  template <typename T, typename Compare>
-  struct EngineCtx {
-    detail::Engine<T, Compare>* engine;
-    runtime::FaultPlan* plan;
-    static bool entry(void* self, std::uint32_t tid) {
-      auto* c = static_cast<EngineCtx*>(self);
-      return c->engine->run_worker(tid, c->plan);
+  // The pooled launcher for detail::drive: hands worker ids 1..P-1 to the
+  // parked workers as one blocking job — or, on a caller-only run, starts
+  // nothing and leaves the whole sort to the calling thread's worker 0.
+  class Launcher {
+   public:
+    Launcher(SortPool* pool, bool caller_only)
+        : pool_(pool), caller_only_(caller_only) {}
+
+    template <typename Engine>
+    void start(Engine& engine, runtime::FaultPlan* plan, std::uint32_t workers) {
+      if (caller_only_) return;
+      engine_ = &engine;
+      plan_ = plan;
+      run_ = pool_->begin_blocking(&entry<Engine>, this, 1, workers);
     }
+    void join(bool caller_completed) {
+      if (!caller_only_) pool_->finish_blocking(run_, caller_completed);
+    }
+
+   private:
+    // Type-erased trampoline the job slots call for each claimed id.
+    template <typename Engine>
+    static bool entry(void* self, std::uint32_t tid) {
+      auto* l = static_cast<Launcher*>(self);
+      return static_cast<Engine*>(l->engine_)->run_worker(tid, l->plan_);
+    }
+
+    SortPool* pool_;
+    bool caller_only_;
+    void* engine_ = nullptr;
+    runtime::FaultPlan* plan_ = nullptr;
+    BlockingRun run_{};
   };
 
   // The one pooled run shape: lease the lane, build the engine on the
   // leased arena, drive it (caller-only or wake path), tear down in the
   // right order.  `plan` null = plain sort (cannot fail).
   template <typename T, typename Compare>
-  bool run_to_completion(std::span<T> data, const Options& opts,
-                         SortStats* stats, runtime::FaultPlan* plan,
-                         Compare cmp) {
+  bool run(std::span<T> data, const Options& opts, SortStats* stats,
+           runtime::FaultPlan* plan, Compare cmp) {
     const std::uint32_t workers = opts.resolved_threads();
-    const bool monitored = detail::monitor_wanted(opts);
-    const auto t_start = monitored ? std::chrono::steady_clock::now()
-                                   : std::chrono::steady_clock::time_point{};
     Lease lease(this, lane_for(opts, data.size()));
     RunArena bypass;  // cold storage for the (rare) contended-lane case
     RunArena* arena;
@@ -259,38 +278,18 @@ class SortPool {
       arena = &bypass;
       bypass_runs_.fetch_add(1, std::memory_order_relaxed);
     }
+    // Fault runs always take the wake path: the plan's kill schedule is
+    // written against multiple live worker ids.
+    const bool caller_only =
+        plan == nullptr &&
+        (workers <= 1 || data.size() < kCallerOnlyCutoff || workers_.empty());
+    if (caller_only) caller_only_runs_.fetch_add(1, std::memory_order_relaxed);
     bool ok;
     {
       detail::Engine<T, Compare> engine(data, cmp, opts,
                                         /*assemble_into_data=*/true, arena,
                                         rec);
-      auto monitor = monitored ? detail::make_monitor(engine.recorder(), opts,
-                                                      data.size())
-                               : nullptr;
-      // Fault runs always take the wake path: the plan's kill schedule is
-      // written against multiple live worker ids.
-      const bool caller_only =
-          plan == nullptr &&
-          (workers <= 1 || data.size() < kCallerOnlyCutoff ||
-           workers_.empty());
-      if (caller_only) {
-        engine.run_worker(0);
-        caller_only_runs_.fetch_add(1, std::memory_order_relaxed);
-      } else {
-        EngineCtx<T, Compare> ctx{&engine, plan};
-        const BlockingRun h =
-            begin_blocking(&EngineCtx<T, Compare>::entry, &ctx, 1, workers);
-        const bool mine = engine.run_worker(0, plan);
-        finish_blocking(h, mine);
-      }
-      ok = engine.result_ready();
-      if (ok) {
-        engine.finalize();
-      } else {
-        engine.snapshot_telemetry();  // partial timeline for fault tooling
-      }
-      detail::finish_monitor(monitor.get(), t_start);
-      if (stats != nullptr) *stats = engine.stats();
+      ok = detail::drive(engine, opts, plan, Launcher(this, caller_only), stats);
     }  // ~Engine runs arena-resident destructors — BEFORE the lane is freed
     runs_.fetch_add(1, std::memory_order_relaxed);
     return ok;

@@ -13,7 +13,7 @@
 // makes that always possible and always safe.
 //
 // Worker threads come from the process-wide SortPool (pool.h) rather than
-// per-call std::jthreads: spawn_worker enqueues a detached pool job for the
+// per-call threads: spawn_worker enqueues a detached pool job for the
 // new worker id, and wait() drains the session's outstanding jobs — helping
 // to execute them on the calling thread if the pool is short-handed, so the
 // join semantics (and the reap-all edge cases in test_session.cpp) are

@@ -5,56 +5,26 @@
 //   wfsort::sort(std::span(v), {.threads = 8,
 //                               .variant = wfsort::Variant::kLowContention});
 //
-// The call blocks until the array is sorted.  Internally P worker threads
-// execute the paper's three phases; every phase is wait-free, so the sort
-// completes as long as at least one worker keeps running — the fault-
-// injection entry point sort_with_faults() (and the SortSession API in
-// session.h) demonstrates exactly that.
+// The call blocks until the array is sorted.  Internally P workers execute
+// the paper's three phases — the calling thread as worker 0 plus P-1
+// transient threads; every phase is wait-free, so the sort completes as
+// long as at least one worker keeps running — the fault-injection entry
+// point sort_with_faults() (and the SortSession API in session.h)
+// demonstrates exactly that.  Every entry point here and in pool.h is a
+// thin wrapper over one driver (core/detail/driver.h).
 #pragma once
 
-#include <chrono>
 #include <functional>
-#include <memory>
 #include <span>
-#include <thread>
 #include <vector>
 
+#include "common/check.h"
+#include "core/detail/driver.h"
 #include "core/detail/engine.h"
-#include "core/detail/run_glue.h"
 #include "core/options.h"
 #include "runtime/fault_plan.h"
-#include "telemetry/monitor.h"
 
 namespace wfsort {
-
-// Sort `data` in place.  `stats`, if given, receives per-run diagnostics.
-template <typename T, typename Compare = std::less<T>>
-void sort(std::span<T> data, const Options& opts = {}, SortStats* stats = nullptr,
-          Compare cmp = Compare{}) {
-  // With telemetry off there is no Recorder, hence no monitor: skip the
-  // clock read and the monitor plumbing entirely on the untraced path.
-  const bool monitored = detail::monitor_wanted(opts);
-  const auto t_start = monitored ? std::chrono::steady_clock::now()
-                                 : std::chrono::steady_clock::time_point{};
-  detail::Engine<T, Compare> engine(data, cmp, opts);
-  auto monitor =
-      monitored ? detail::make_monitor(engine.recorder(), opts, data.size())
-                : nullptr;
-  const std::uint32_t workers = opts.resolved_threads();
-  if (workers <= 1 || data.size() <= 1) {
-    engine.run_worker(0);
-  } else {
-    std::vector<std::jthread> threads;
-    threads.reserve(workers);
-    for (std::uint32_t tid = 0; tid < workers; ++tid) {
-      threads.emplace_back([&engine, tid] { engine.run_worker(tid); });
-    }
-    threads.clear();  // join
-  }
-  engine.finalize();
-  detail::finish_monitor(monitor.get(), t_start);
-  if (stats != nullptr) *stats = engine.stats();
-}
 
 // Sort under a fault plan (crashes / page-fault sleeps injected into chosen
 // workers).  Returns true if the sort completed — i.e. at least one worker
@@ -63,89 +33,47 @@ void sort(std::span<T> data, const Options& opts = {}, SortStats* stats = nullpt
 template <typename T, typename Compare = std::less<T>>
 bool sort_with_faults(std::span<T> data, const Options& opts, runtime::FaultPlan& plan,
                       SortStats* stats = nullptr, Compare cmp = Compare{}) {
-  const bool monitored = detail::monitor_wanted(opts);
-  const auto t_start = monitored ? std::chrono::steady_clock::now()
-                                 : std::chrono::steady_clock::time_point{};
   detail::Engine<T, Compare> engine(data, cmp, opts);
-  auto monitor =
-      monitored ? detail::make_monitor(engine.recorder(), opts, data.size())
-                : nullptr;
-  const std::uint32_t workers = opts.resolved_threads();
-  {
-    std::vector<std::jthread> threads;
-    threads.reserve(workers);
-    for (std::uint32_t tid = 0; tid < workers; ++tid) {
-      threads.emplace_back([&engine, tid, &plan] { engine.run_worker(tid, &plan); });
-    }
-  }  // join
-  const bool ok = engine.result_ready();
-  detail::finish_monitor(monitor.get(), t_start);
-  if (ok) {
-    engine.finalize();
-  } else {
-    // No finalize on failure, but the partial telemetry timeline (truncated
-    // spans of the crashed workers) is still wanted by the fault tooling.
-    engine.snapshot_telemetry();
-  }
-  if (stats != nullptr) *stats = engine.stats();
-  return ok;
+  return detail::drive(engine, opts, &plan, detail::ThreadLauncher{}, stats);
+}
+
+// Sort `data` in place.  `stats`, if given, receives per-run diagnostics.
+// The same run as sort_with_faults without a plan, so it cannot fail.
+template <typename T, typename Compare = std::less<T>>
+void sort(std::span<T> data, const Options& opts = {}, SortStats* stats = nullptr,
+          Compare cmp = Compare{}) {
+  detail::Engine<T, Compare> engine(data, cmp, opts);
+  detail::drive(engine, opts, nullptr, detail::ThreadLauncher{}, stats);
 }
 
 // Compute the sorting permutation without moving the data: perm[rank] is
 // the index of the element with that rank (i.e. data[perm[0]] <= ... <=
 // data[perm[n-1]], ties by index).  Useful when elements are heavyweight or
-// must stay in place; runs the same wait-free phases, skipping only the
-// final copy-back.
+// must stay in place; runs the same wait-free phases through the same
+// driver as sort() — stats and the live monitor included — skipping only
+// the final copy-back.
 template <typename T, typename Compare = std::less<T>>
 std::vector<std::uint32_t> sort_permutation(std::span<const T> data,
                                             const Options& opts = {},
+                                            SortStats* stats = nullptr,
                                             Compare cmp = Compare{}) {
-  std::vector<std::uint32_t> perm(data.size());
-  if (data.size() <= 1) {
-    if (data.size() == 1) perm[0] = 0;
-    return perm;
-  }
   // The engine never writes the input: copy-back is disabled below and the
   // const_cast span is only a formality of its (normally in-place) interface.
   std::span<T> mutable_view(const_cast<T*>(data.data()), data.size());
   detail::Engine<T, Compare> engine(mutable_view, cmp, opts,
                                     /*assemble_into_data=*/false);
-  const std::uint32_t workers = opts.resolved_threads();
-  if (workers <= 1) {
-    engine.run_worker(0);
-  } else {
-    std::vector<std::jthread> threads;
-    threads.reserve(workers);
-    for (std::uint32_t tid = 0; tid < workers; ++tid) {
-      threads.emplace_back([&engine, tid] { engine.run_worker(tid); });
+  const bool ok =
+      detail::drive(engine, opts, nullptr, detail::ThreadLauncher{}, stats);
+  WFSORT_CHECK(ok);
+  std::vector<std::uint32_t> perm(data.size());  // {0} for a single element
+  if (data.size() > 1) {
+    const auto& st = engine.state();
+    for (std::size_t i = 0; i < data.size(); ++i) {
+      const std::int64_t place = st.place_of(static_cast<std::int64_t>(i));
+      perm[static_cast<std::size_t>(place - 1)] = static_cast<std::uint32_t>(i);
     }
-  }
-  WFSORT_CHECK(engine.result_ready());
-  const auto& st = engine.state();
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    const std::int64_t place = st.place_of(static_cast<std::int64_t>(i));
-    perm[static_cast<std::size_t>(place - 1)] = static_cast<std::uint32_t>(i);
   }
   return perm;
 }
-
-// Object form for repeated sorts with fixed options.
-template <typename T, typename Compare = std::less<T>>
-class Sorter {
- public:
-  explicit Sorter(Options opts = {}, Compare cmp = Compare{})
-      : opts_(opts), cmp_(cmp) {}
-
-  void operator()(std::span<T> data) { sort(data, opts_, &last_stats_, cmp_); }
-  void sort_span(std::span<T> data) { (*this)(data); }
-
-  const Options& options() const { return opts_; }
-  const SortStats& last_stats() const { return last_stats_; }
-
- private:
-  Options opts_;
-  Compare cmp_;
-  SortStats last_stats_{};
-};
 
 }  // namespace wfsort

@@ -89,15 +89,11 @@ bool sorted_matches(std::span<const pram::Word> keys, const std::vector<pram::Wo
   return out == expected;
 }
 
-// The native prune knob is the sim knob's public twin; artifacts use the sim
+// The native prune knob is the sim knob's public twin minus the sim-only
+// kPlaced (substrate_error keeps it away from here); artifacts use the sim
 // spelling for both substrates.
 PrunePlaced to_native_prune(sim::PlacePrune p) {
-  switch (p) {
-    case sim::PlacePrune::kNone: return PrunePlaced::kNo;
-    case sim::PlacePrune::kPlaced: return PrunePlaced::kYes;
-    case sim::PlacePrune::kCompleted: return PrunePlaced::kDone;
-  }
-  return PrunePlaced::kDone;
+  return p == sim::PlacePrune::kNone ? PrunePlaced::kNo : PrunePlaced::kDone;
 }
 
 // Events retained per kill victim in a failure artifact's post-mortem ring:
@@ -396,8 +392,17 @@ std::uint64_t default_round_cap(const ScenarioSpec& spec) {
   return 4096 + per_proc * stretch;
 }
 
+std::string substrate_error(const ScenarioSpec& spec) {
+  if (spec.substrate == Substrate::kNative && spec.prune == sim::PlacePrune::kPlaced) {
+    return "prune=placed is the simulator-only place>0 rule (sound only under "
+           "lockstep phase entry); the native substrate rejects it";
+  }
+  return "";
+}
+
 ScenarioResult run_scenario(const ScenarioSpec& spec) {
   WFSORT_CHECK(spec.n >= 1);
+  WFSORT_CHECK(substrate_error(spec).empty());
   WFSORT_CHECK(spec.procs >= 1);
   WFSORT_CHECK(spec.script.concrete());
   const std::string verr = spec.script.validate(spec.procs);
@@ -493,6 +498,7 @@ bool spec_from_json(const Json& j, ScenarioSpec* out, std::string* error) {
   spec.oracle_period = u64_field("oracle_period", spec.oracle_period);
   spec.own_step_bound = u64_field("own_step_bound", spec.own_step_bound);
 
+  if (const std::string serr = substrate_error(spec); !serr.empty()) return fail(serr);
   if (!spec.script.concrete()) return fail("artifact scripts must be concrete (round triggers)");
   const std::string verr = spec.script.validate(spec.procs);
   if (!verr.empty()) return fail("invalid script: " + verr);

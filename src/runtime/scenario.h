@@ -117,9 +117,15 @@ struct ScenarioResult {
 // fully-serial schedule with every scripted crash, far below "hung forever".
 std::uint64_t default_round_cap(const ScenarioSpec& spec);
 
+// Empty if the spec's knobs exist on its substrate, else why not.  The
+// native substrate rejects prune=placed: Figure 6's place>0 rule is sound
+// only under lockstep phase entry, so only the simulator implements it.
+std::string substrate_error(const ScenarioSpec& spec);
+
 // Execute the scenario and judge it.  The spec's script must be concrete and
-// valid for its crew (WFSORT_CHECK enforced) — use FaultScript::validate
-// before calling on untrusted input.
+// valid for its crew, and substrate_error() empty (WFSORT_CHECK enforced) —
+// use FaultScript::validate and substrate_error before calling on untrusted
+// input.
 ScenarioResult run_scenario(const ScenarioSpec& spec);
 
 // ---- Failure artifacts ----

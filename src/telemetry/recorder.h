@@ -6,8 +6,8 @@
 // else touches while the run is live — so recording is a handful of local
 // stores and the shared state is only read once, by snapshot(), after the
 // workers have joined.  With Level::kOff the engine holds no Recorder at
-// all and runs the untraced instantiation of its worker program (see
-// kTelEnabled below) — the hot path contains no telemetry code whatsoever.
+// all: every worker's scratch pointer is null, and each recording site
+// costs one well-predicted null test.
 //
 // Span recording is crash-correct by construction: a scratch slot keeps at
 // most one open span, and the engine closes it from an RAII guard on every
@@ -20,20 +20,10 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <type_traits>
 
 #include "telemetry/report.h"
 
 namespace wfsort::telemetry {
-
-// The engine's hot functions take their scratch pointer as a *deduced*
-// template parameter (`Tel` is either `WorkerScratch*` or `std::nullptr_t`)
-// and guard every recording site with `if constexpr (kTelEnabled<Tel>)`, so
-// the untraced instantiation compiles to exactly the pre-telemetry code —
-// no dead branches, no dead locals, no counter plumbing.
-template <typename Tel>
-inline constexpr bool kTelEnabled =
-    !std::is_same_v<std::remove_cv_t<Tel>, std::nullptr_t>;
 
 // One worker's private recording area.  `detail` mirrors Level::kFull so
 // per-element sites can skip histogram work at Level::kPhases without
@@ -99,6 +89,15 @@ struct alignas(64) WorkerScratch {
 
   void count(Counter c, std::uint64_t v = 1) {
     rep.counters[static_cast<std::size_t>(c)] += v;
+  }
+
+  // Level::kFull: one work-allocation claim after `probes` tree-node visits
+  // (`wat_kind` 0 = WAT, 1 = LC-WAT), claiming `job`.
+  void wat_claim(std::uint8_t wat_kind, std::uint64_t probes, std::uint64_t job) {
+    count(Counter::kWatClaims);
+    count(Counter::kWatProbes, probes);
+    rep.wat_probes.add(probes);
+    emit(FlightKind::kWatClaim, wat_kind, static_cast<std::uint32_t>(probes), job);
   }
 
  private:

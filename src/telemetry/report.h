@@ -28,8 +28,9 @@
 namespace wfsort::telemetry {
 
 // How much a run records.
-//   kOff    — nothing beyond the always-on SortStats counters (default; the
-//             engine hot path pays one predictable branch per phase).
+//   kOff    — nothing beyond the always-on SortStats counters and call
+//             wall time (default; the engine hot path pays one predictable
+//             null test per recording site).
 //   kPhases — per-worker, per-phase wall-time spans (two steady_clock reads
 //             per phase per worker).
 //   kFull   — spans plus histograms and per-site contention counters,

@@ -12,7 +12,6 @@ namespace {
 const char* prune_name(PrunePlaced prune) {
   switch (prune) {
     case PrunePlaced::kNo: return "no";
-    case PrunePlaced::kYes: return "yes";
     case PrunePlaced::kDone: return "done";
   }
   return "?";
@@ -182,10 +181,9 @@ Json native_stats_json(const NativeRunInfo& info, const SortStats& stats) {
   doc.set("config", std::move(config));
 
   Json totals = Json::object();
-  totals.set("wall_ms",
-             rep != nullptr
-                 ? static_cast<double>(rep->wall_us) / 1000.0
-                 : stats.phase1_ms + stats.phase2_ms + stats.phase3_ms);
+  totals.set("wall_ms", rep != nullptr
+                           ? static_cast<double>(rep->wall_us) / 1000.0
+                           : stats.wall_ms);
   totals.set("workers", static_cast<std::uint64_t>(stats.workers));
   totals.set("crashed_workers", static_cast<std::uint64_t>(stats.crashed_workers));
   totals.set("completed_workers", static_cast<std::uint64_t>(stats.completed_workers));
@@ -195,8 +193,10 @@ Json native_stats_json(const NativeRunInfo& info, const SortStats& stats) {
   totals.set("cas_successes", stats.cas_successes);
   doc.set("totals", std::move(totals));
 
+  // Per-phase rows come only from the telemetry spans: at Level::kOff the
+  // array is empty, as it is in the simulator's documents.
   Json phases = Json::array();
-  if (rep != nullptr && rep->level != Level::kOff) {
+  if (rep != nullptr) {
     for (PhaseId p : rep->phases_present()) {
       std::uint64_t total_us = 0;
       std::uint64_t max_us = 0;
@@ -216,21 +216,6 @@ Json native_stats_json(const NativeRunInfo& info, const SortStats& stats) {
       ph.set("max_ms", static_cast<double>(max_us) / 1000.0);
       ph.set("total_ms", static_cast<double>(total_us) / 1000.0);
       ph.set("workers", static_cast<std::uint64_t>(workers));
-      phases.push_back(std::move(ph));
-    }
-  } else {
-    // Always-on fallback: the engine's three coarse phase clocks.
-    const std::pair<const char*, double> coarse[] = {
-        {"build", stats.phase1_ms},
-        {"sum", stats.phase2_ms},
-        {"place", stats.phase3_ms},
-    };
-    for (const auto& [name, ms] : coarse) {
-      Json ph = Json::object();
-      ph.set("name", name);
-      ph.set("max_ms", ms);
-      ph.set("total_ms", ms);
-      ph.set("workers", static_cast<std::uint64_t>(stats.completed_workers));
       phases.push_back(std::move(ph));
     }
   }

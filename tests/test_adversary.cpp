@@ -326,6 +326,22 @@ TEST(Scenario, OwnStepBoundViolationIsReported) {
   EXPECT_NE(res.detail.find("own steps"), std::string::npos);
 }
 
+TEST(Scenario, NativePlacedPruneIsRejectedNotRemapped) {
+  // Figure 6's place>0 rule is simulator-only: a native spec asking for it
+  // is an error naming the rule, never silently run under another policy.
+  rt::ScenarioSpec spec = small_det_spec();
+  spec.prune = wfsort::sim::PlacePrune::kPlaced;
+  EXPECT_TRUE(rt::substrate_error(spec).empty());  // fine on the simulator
+  spec.substrate = rt::Substrate::kNative;
+  const std::string why = rt::substrate_error(spec);
+  EXPECT_NE(why.find("simulator-only"), std::string::npos) << why;
+
+  rt::ScenarioSpec back;
+  std::string error;
+  EXPECT_FALSE(rt::spec_from_json(rt::spec_to_json(spec), &back, &error));
+  EXPECT_EQ(error, why);
+}
+
 TEST(Scenario, SpecJsonRoundTrip) {
   rt::ScenarioSpec spec = small_det_spec();
   spec.dist = wfsort::exp::Dist::kOrganPipe;

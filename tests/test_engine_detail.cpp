@@ -112,8 +112,7 @@ TEST(TreeStateDetail, FindPlaceEmitProducesRanksAndOutput) {
   std::vector<std::uint64_t> keys{50, 30, 70, 20, 40};
   auto st = build_sequential(keys);
   ASSERT_TRUE(wfsort::detail::tree_sum(*st, 0, kKeepGoing));
-  for (auto prune : {wfsort::PrunePlaced::kNo, wfsort::PrunePlaced::kYes,
-                     wfsort::PrunePlaced::kDone}) {
+  for (auto prune : {wfsort::PrunePlaced::kNo, wfsort::PrunePlaced::kDone}) {
     auto st2 = build_sequential(keys);
     ASSERT_TRUE(wfsort::detail::tree_sum(*st2, 0, kKeepGoing));
     ASSERT_TRUE(wfsort::detail::find_place_emit(*st2, 0, prune, /*seq_cutoff=*/0,

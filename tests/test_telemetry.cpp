@@ -311,9 +311,9 @@ TEST(StatsSchema, NativeOffLevelStillValidates) {
   const Json doc = tel::native_stats_json(tel::native_run_info(opts, 20000), stats);
   std::string error;
   EXPECT_TRUE(tel::validate_stats_json(doc, &error)) << error;
-  // The coarse fallback still reports the paper's three phases.
-  ASSERT_EQ(doc.at("phases").items().size(), 3u);
-  EXPECT_EQ(doc.at("phases").items()[0].at("name").as_string(), "build");
+  // No spans at kOff, so no per-phase rows — but the call's wall time.
+  EXPECT_TRUE(doc.at("phases").items().empty());
+  EXPECT_GT(doc.at("totals").at("wall_ms").as_double(), 0.0);
 }
 
 TEST(StatsSchema, SimScenarioProducesValidStats) {

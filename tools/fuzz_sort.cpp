@@ -50,19 +50,14 @@ bool fuzz_native_once(Rng& rng, std::uint64_t iter) {
   opts.threads = threads;
   opts.variant = rng.coin() ? wfsort::Variant::kDeterministic
                             : wfsort::Variant::kLowContention;
-  const std::uint64_t pr = rng.below(3);
-  opts.prune = pr == 0   ? wfsort::PrunePlaced::kNo
-               : pr == 1 ? wfsort::PrunePlaced::kYes
-                         : wfsort::PrunePlaced::kDone;
+  opts.prune = rng.coin() ? wfsort::PrunePlaced::kNo : wfsort::PrunePlaced::kDone;
   opts.seed = rng.next();
 
   auto data = wfsort::exp::make_u64_keys(n, random_dist(rng), rng.next());
   auto expected = data;
   std::sort(expected.begin(), expected.end());
 
-  // PrunePlaced::kYes is only sound without faults (documented); fuzz it
-  // faultlessly and fuzz the sound policies with hostile plans.
-  const bool with_faults = opts.prune != wfsort::PrunePlaced::kYes && rng.coin();
+  const bool with_faults = rng.coin();
   bool ok;
   if (with_faults) {
     wfsort::runtime::FaultPlan plan(threads);
@@ -82,9 +77,9 @@ bool fuzz_native_once(Rng& rng, std::uint64_t iter) {
     ok = true;
   }
   if (data != expected) {
-    std::printf("iter %llu: NATIVE SORT WRONG (n=%zu threads=%u variant=%d prune=%llu)\n",
+    std::printf("iter %llu: NATIVE SORT WRONG (n=%zu threads=%u variant=%d prune=%d)\n",
                 static_cast<unsigned long long>(iter), n, threads,
-                static_cast<int>(opts.variant), static_cast<unsigned long long>(pr));
+                static_cast<int>(opts.variant), static_cast<int>(opts.prune));
     return false;
   }
   return true;
@@ -152,8 +147,8 @@ bool fuzz_script_once(Rng& rng, std::uint64_t iter, const std::string& artifact_
   spec.workload_seed = rng.next();
   spec.procs = static_cast<std::uint32_t>(2 + rng.below(sim ? 14 : 6));
   spec.variant = rng.coin() ? rt::SortKind::kDet : rt::SortKind::kLc;
-  // PlacePrune::kYes/kPlaced is documented-unsound under faults; the sound
-  // policies must survive anything the script throws at them.
+  // PlacePrune::kPlaced is documented-unsound under faults (and sim-only);
+  // the sound policies must survive anything the script throws at them.
   spec.prune = rng.coin() ? wfsort::sim::PlacePrune::kCompleted
                           : wfsort::sim::PlacePrune::kNone;
   spec.random_first = rng.coin();

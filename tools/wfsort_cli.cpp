@@ -242,9 +242,7 @@ int run_sort(const wfsort::CliFlags& flags) {
   std::fprintf(stderr,
                "sorted %zu keys: %s  (%.2f ms, depth=%u, max build iters=%llu, "
                "workers=%u)\n",
-               data.size(), ok ? "ok" : "BROKEN",
-               stats.phase1_ms + stats.phase2_ms + stats.phase3_ms,
-               stats.tree_depth,
+               data.size(), ok ? "ok" : "BROKEN", stats.wall_ms, stats.tree_depth,
                static_cast<unsigned long long>(stats.max_build_iters), stats.workers);
 
   const std::string stats_path = flags.str("stats-json");
@@ -898,6 +896,10 @@ wfsort::runtime::ScenarioSpec spec_from_flags(const wfsort::CliFlags& flags) {
   }
   if (flags.str("memory") == "stall") spec.memory = pram::MemoryModel::kStall;
   spec.sim_threads = static_cast<std::uint32_t>(flags.u64("sim-threads"));
+  if (const std::string err = wfsort::runtime::substrate_error(spec); !err.empty()) {
+    std::fprintf(stderr, "%s\n", err.c_str());
+    std::exit(2);
+  }
   return spec;
 }
 
