@@ -33,6 +33,10 @@
 #include <utility>
 #include <vector>
 
+#if defined(__linux__)
+#include <sys/mman.h>
+#endif
+
 namespace wfsort {
 
 class RunArena {
@@ -76,6 +80,7 @@ class RunArena {
     ::operator delete(s.ptr, std::align_val_t{kAlign});
     totals_.held_bytes -= s.bytes;
     s.ptr = ::operator new(bytes, std::align_val_t{kAlign});
+    advise_huge_pages(s.ptr, bytes);
     s.bytes = bytes;
     totals_.held_bytes += bytes;
     ++totals_.grow_events;
@@ -112,6 +117,24 @@ class RunArena {
   const Totals& totals() const { return totals_; }
 
  private:
+  // A run's big arrays — the node records above all — are read at random:
+  // phase 1 inserts in a scattered pseudo-random order, so every descent
+  // walks records spread over the whole array, and with 4 KiB pages a large
+  // sort misses the TLB at nearly every step.  Ask for transparent huge pages
+  // over the 2 MiB-aligned interior of a fresh block, before anything touches
+  // it.  Purely advisory: where the kernel declines, only speed changes.
+  static void advise_huge_pages(void* p, std::size_t bytes) {
+#if defined(__linux__)
+    constexpr std::uintptr_t kHuge = std::uintptr_t{2} << 20;
+    const auto lo = (reinterpret_cast<std::uintptr_t>(p) + kHuge - 1) & ~(kHuge - 1);
+    const auto hi = (reinterpret_cast<std::uintptr_t>(p) + bytes) & ~(kHuge - 1);
+    if (hi > lo) ::madvise(reinterpret_cast<void*>(lo), hi - lo, MADV_HUGEPAGE);
+#else
+    (void)p;
+    (void)bytes;
+#endif
+  }
+
   struct Slot {
     void* ptr = nullptr;
     std::size_t bytes = 0;

@@ -8,22 +8,32 @@
 // CAS per element ever succeeds, and a processor that finds its own element
 // already installed simply stops.
 //
+// Elements are inserted in a seeded pseudo-random order (Phase1Order), the
+// native form of Section 2.3's random-first pickup: the top of the tree is a
+// uniform sample of the input whatever its order, so sorted, reversed or
+// few-distinct input builds an O(log N)-deep tree instead of Lemma 2.4's
+// depth-N chain.  WAT jobs still cover contiguous runs of SEQUENCE
+// positions; the order only maps positions to elements.
+//
 // Two hot-path refinements over the literal Figure 4 (semantics unchanged,
 // iteration counts identical):
 //   * the child slot is LOADED before any CAS is attempted, so occupied
 //     slots — the overwhelmingly common case on a deep descent — cost a
 //     shared cache-line read instead of an RMW bus transaction;
 //   * build_batch() runs several independent descents interleaved, one step
-//     each in element order, prefetching every descent's next node record.
+//     each in sequence order, prefetching every descent's next node record.
 //     Descents of distinct elements never depend on each other, so this
 //     only overlaps their cache misses (memory-level parallelism); each
 //     element still walks exactly the path Figure 4 assigns it.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
 
+#include "common/bits.h"
+#include "common/rng.h"
 #include "common/simd.h"
 #include "core/detail/tree_state.h"
 #include "telemetry/recorder.h"
@@ -35,6 +45,56 @@ namespace wfsort::detail {
 // element, a32 = the loss count) — the per-element signature of a root
 // hot-spot, visible in `wfsort report` without wading through histograms.
 inline constexpr std::uint64_t kCasBurstThreshold = 8;
+
+// Phase-1 insertion order: a bijection from sequence positions [0, n) to
+// element indices [0, n), keyed by Options::seed.  Two rounds of
+// xor-key / odd-multiply / xorshift over the next power-of-two domain —
+// each step invertible mod 2^bits — cycle-walked back into range (fewer
+// than two steps on average, since the domain is under 2n).  O(1) state,
+// evaluated on the fly: no N-sized array, nothing shared between workers.
+class Phase1Order {
+ public:
+  // Index order: position p inserts element p (tests, and nothing else).
+  static Phase1Order identity(std::uint64_t n) { return Phase1Order(n); }
+
+  Phase1Order(std::uint64_t n, std::uint64_t seed) : Phase1Order(n) {
+    shift_ = (bits_ + 1) / 2;
+    k0_ = splitmix64(seed);
+    m0_ = splitmix64(seed) | 1;
+    k1_ = splitmix64(seed);
+    m1_ = splitmix64(seed) | 1;
+  }
+
+  std::int64_t element(std::int64_t pos) const {
+    WFSORT_DCHECK(pos >= 0 && static_cast<std::uint64_t>(pos) < n_);
+    auto x = static_cast<std::uint64_t>(pos);
+    do {
+      x = step(x);
+    } while (x >= n_);
+    return static_cast<std::int64_t>(x);
+  }
+
+ private:
+  // Identity parameters: every step below maps x to x.
+  explicit Phase1Order(std::uint64_t n)
+      : n_(n),
+        bits_(std::max<std::uint32_t>(1, log2_ceil(n))),
+        mask_((std::uint64_t{1} << bits_) - 1) {}
+
+  std::uint64_t step(std::uint64_t x) const {
+    x = ((x ^ k0_) * m0_) & mask_;
+    x ^= x >> shift_;
+    x = ((x ^ k1_) * m1_) & mask_;
+    x ^= x >> shift_;
+    return x;
+  }
+
+  std::uint64_t n_;
+  std::uint32_t bits_;
+  std::uint64_t mask_;
+  std::uint32_t shift_ = 63;  // x < 2^63, so x >> 63 == 0
+  std::uint64_t k0_ = 0, m0_ = 1, k1_ = 0, m1_ = 1;
+};
 
 struct BuildResult {
   std::uint64_t iterations = 0;    // trips around the Figure-4 loop
@@ -113,15 +173,18 @@ BuildResult build_one(TreeState<Key, Compare>& st, std::int64_t i) {
   return build_from(st, i, r0);
 }
 
-// Insert elements [lo, hi) — one WAT batch — with up to kBuildLanes descents
-// in flight, stepped round-robin.  When two in-flight elements race for the
-// same empty slot, the larger stalls until the smaller has had its CAS
-// (smaller_rival below), so a single worker produces exactly the tree the
-// batch would have produced sequentially — in particular the sorted-input
-// chain of Lemma 2.4's worst case survives batching.  `keep_going` is
-// polled once per completed element (the engine's fault checkpoint
-// granularity); returns false if the worker was aborted.
+// Insert the elements at sequence positions [lo, hi) of `order` — one WAT
+// batch — with up to kBuildLanes descents in flight, stepped round-robin.
+// When two in-flight elements race for the same empty slot, the one later
+// in the sequence stalls until the earlier has had its CAS (smaller_rival
+// below), so a single worker produces exactly the tree build_one would
+// produce applied in sequence order.  Element ids are computed
+// kOrderBuffer at a time and their records prefetched, keeping the order's
+// arithmetic off the per-element refill path.  `keep_going` is polled once
+// per completed element (the engine's fault checkpoint granularity);
+// returns false if the worker was aborted.
 inline constexpr int kBuildLanes = 8;
+inline constexpr int kOrderBuffer = 16;
 static_assert(kBuildLanes <= simd::kMaxLanes);
 
 // One round of descent sides for every in-flight lane, batched through the
@@ -150,11 +213,12 @@ inline void batch_descend_sides(const TreeState<Key, Compare>& st,
 }
 
 template <typename Key, typename Compare, typename Check>
-bool build_batch(TreeState<Key, Compare>& st, std::int64_t lo, std::int64_t hi,
-                 BuildTally& tally, Check&& keep_going,
-                 telemetry::WorkerScratch* tel = nullptr) {
+bool build_batch(TreeState<Key, Compare>& st, const Phase1Order& order,
+                 std::int64_t lo, std::int64_t hi, BuildTally& tally,
+                 Check&& keep_going, telemetry::WorkerScratch* tel = nullptr) {
   struct Lane {
     std::int64_t elem;
+    std::int64_t pos;  // elem's sequence position (the smaller_rival order)
     std::int64_t parent;
     Key ekey;  // cached key of elem, gathered once at refill for the batch compare
     std::uint64_t iterations;
@@ -166,15 +230,30 @@ bool build_batch(TreeState<Key, Compare>& st, std::int64_t lo, std::int64_t hi,
   const std::int64_t root = st.root_idx();
   std::int64_t next = lo;
 
-  const auto refill = [&](int slot) {
-    while (next < hi) {
-      const std::int64_t i = next++;
-      if (i == root) continue;  // the root is never inserted
-      lanes[slot] = {i, root, st.key_of(i), 0, 0};
-      st.prefetch(root);
-      return true;
+  // The next positions' element ids, computed and prefetched a buffer at a
+  // time; `taken` of `buffered` have been handed to lanes.
+  std::int64_t buf_elem[kOrderBuffer];
+  std::int64_t buf_pos[kOrderBuffer];
+  int buffered = 0;
+  int taken = 0;
+  const auto fill = [&] {
+    buffered = taken = 0;
+    while (next < hi && buffered < kOrderBuffer) {
+      const std::int64_t pos = next++;
+      const std::int64_t e = order.element(pos);
+      if (e == root) continue;  // the root is never inserted
+      st.prefetch(e);
+      buf_elem[buffered] = e;
+      buf_pos[buffered++] = pos;
     }
-    return false;
+    return buffered > 0;
+  };
+  const auto refill = [&](int slot) {
+    if (taken == buffered && !fill()) return false;
+    const std::int64_t e = buf_elem[taken];
+    lanes[slot] = {e, buf_pos[taken++], root, st.key_of(e), 0, 0};
+    st.prefetch(root);
+    return true;
   };
 
   for (int l = 0; l < kBuildLanes; ++l) {
@@ -182,15 +261,16 @@ bool build_batch(TreeState<Key, Compare>& st, std::int64_t lo, std::int64_t hi,
     ++active;
   }
 
-  // True if some other in-flight lane holds a smaller element aimed at the
-  // same empty slot.  The smaller element must win the slot (as it would
-  // have sequentially), so the caller stalls this lane for the round.  Any
-  // two in-flight competitors for one slot are necessarily at the same
-  // parent already — a descent step always moves exactly one level down, so
-  // the smaller element (started no later) can never be shallower.
+  // True if some other in-flight lane holds an element earlier in the
+  // sequence aimed at the same empty slot.  The earlier element must win the
+  // slot (as it would have sequentially), so the caller stalls this lane for
+  // the round.  Any two in-flight competitors for one slot are necessarily
+  // at the same parent already — a descent step always moves exactly one
+  // level down, so the earlier element (started no later) can never be
+  // shallower.
   const auto smaller_rival = [&](int l, const Lane& ln, Side side) {
     for (int k = 0; k < active; ++k) {
-      if (k == l || lanes[k].elem >= ln.elem || lanes[k].parent != ln.parent) continue;
+      if (k == l || lanes[k].pos >= ln.pos || lanes[k].parent != ln.parent) continue;
       if (st.descend_side(lanes[k].elem, ln.parent) == side) return true;
     }
     return false;

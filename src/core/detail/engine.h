@@ -12,7 +12,9 @@
 //     cache line per visit instead of four parallel arrays;
 //   * phase-1 work is claimed in batches of Options::wat_batch adjacent
 //     jobs per WAT traversal (the paper's K), built with interleaved,
-//     prefetched descents (build_batch);
+//     prefetched descents (build_batch); the jobs are positions in a
+//     seeded pseudo-random insertion order (Phase1Order, Section 2.3's
+//     random-first pickup), so no input order builds a deep tree;
 //   * phase-3 subtrees at or below Options::seq_cutoff are emitted by one
 //     sequential in-order walk (place_block);
 //   * per-element statistics accumulate in per-worker tallies and are
@@ -414,15 +416,16 @@ class Engine {
     const auto chk = [plan, tid] { return plan == nullptr || plan->checkpoint(tid); };
     const std::int64_t n = st_.n();
     const auto batch = static_cast<std::int64_t>(wat_batch_);
+    const Phase1Order order(static_cast<std::uint64_t>(n), opts_.seed);
 
-    // Phase 1: WAT-allocated tree building, one batch of adjacent jobs per
-    // claimed leaf.
+    // Phase 1: WAT-allocated tree building, one batch of adjacent sequence
+    // positions per claimed leaf.
     enter_phase(tel, telemetry::PhaseId::kBuild);
     BuildTally tally;
     const bool built =
         drive_wat(wat_, tid, nominal_threads_, chk, tel, [&](std::int64_t j) {
-          return build_batch(st_, j * batch, std::min(n, j * batch + batch),
-                             tally, chk, tel);
+          return build_batch(st_, order, j * batch,
+                             std::min(n, j * batch + batch), tally, chk, tel);
         });
     flush_build(tally);
     if (!built) return false;
@@ -503,10 +506,11 @@ class Engine {
     TreeState<Key, Compare>& gst = lc.group_states[group];
     const auto slice_n = static_cast<std::int64_t>(lc.slice_len);
     const auto batch = static_cast<std::int64_t>(wat_batch_);
+    const Phase1Order slice_order(lc.slice_len, opts_.seed);
     const bool presorted =
         drive_wat(lc.group_wats[group], tid / lc.groups, group_workers, chk, tel,
                   [&](std::int64_t j) {
-                    return build_batch(gst, j * batch,
+                    return build_batch(gst, slice_order, j * batch,
                                        std::min(slice_n, j * batch + batch),
                                        tally, chk, tel);
                   }) &&

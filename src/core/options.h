@@ -57,7 +57,11 @@ struct Options {
   Variant variant = Variant::kDeterministic;
   PrunePlaced prune = PrunePlaced::kDone;
   Phase1 phase1 = Phase1::kTree;
-  std::uint64_t seed = 0x50535a97ULL;  // randomized-variant randomness
+  // Randomized-variant randomness, and the key of the phase-1 insertion
+  // order (deterministic variant's tree and the LC slice presort): elements
+  // are inserted in a seeded pseudo-random order, so no input order builds
+  // a deep pivot tree.
+  std::uint64_t seed = 0x50535a97ULL;
 
   // Low-contention variant: duplicates per fat-tree node (0 = automatic,
   // ~sqrt(threads)).  More copies divide top-level read pressure further at
@@ -139,7 +143,8 @@ struct SortStats {
   std::uint64_t max_build_iters = 0;
   std::uint64_t total_build_iters = 0;
 
-  // Depth of the Quicksort pivot tree (O(log N) w.h.p. on random input).
+  // Depth of the Quicksort pivot tree: O(log N) w.h.p. on any input, since
+  // phase 1 inserts in a seeded pseudo-random order.
   std::uint32_t tree_depth = 0;
 
   // Failed CAS attempts during tree building (a native proxy for phase-1

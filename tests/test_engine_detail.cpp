@@ -37,12 +37,18 @@ struct BuiltTree {
   State& operator*() { return *state; }
 };
 
-// Build the tree sequentially via build_one.
-BuiltTree build_sequential(std::vector<std::uint64_t> keys) {
+// A tree over `keys` with nothing inserted yet (element 0 is the root).
+BuiltTree empty_tree(std::vector<std::uint64_t> keys) {
   BuiltTree t{std::move(keys), nullptr};
   t.state = std::make_unique<State>(
       std::span<const std::uint64_t>(t.keys.data(), t.keys.size()),
       std::less<std::uint64_t>{});
+  return t;
+}
+
+// Build the tree sequentially via build_one.
+BuiltTree build_sequential(std::vector<std::uint64_t> keys) {
+  BuiltTree t = empty_tree(std::move(keys));
   for (std::int64_t i = 0; i < t.state->n(); ++i) {
     wfsort::detail::build_one(*t.state, i);
   }
@@ -226,20 +232,70 @@ TEST(TreeStateDetail, SeqCutoffCrashedBlockWalkerIsRedoneByNextWorker) {
   }
 }
 
+TEST(TreeStateDetail, Phase1OrderIsABijection) {
+  using wfsort::detail::Phase1Order;
+  std::vector<std::uint8_t> seen;
+  const auto check = [&seen](const Phase1Order& order, std::uint64_t n,
+                             std::uint64_t seed) {
+    seen.assign(n, 0);
+    for (std::uint64_t p = 0; p < n; ++p) {
+      const std::int64_t e = order.element(static_cast<std::int64_t>(p));
+      ASSERT_GE(e, 0) << "n=" << n << " seed=" << seed << " pos=" << p;
+      ASSERT_LT(static_cast<std::uint64_t>(e), n) << "n=" << n << " seed=" << seed;
+      ASSERT_EQ(seen[static_cast<std::size_t>(e)]++, 0)
+          << "n=" << n << " seed=" << seed << " element " << e << " repeated";
+    }
+  };
+  std::vector<std::uint64_t> sizes;
+  for (std::uint64_t n = 1; n <= 2048; ++n) sizes.push_back(n);
+  sizes.push_back((std::uint64_t{1} << 20) - 1);
+  sizes.push_back((std::uint64_t{1} << 20) + 1);
+  for (std::uint64_t seed : {std::uint64_t{0x50535a97}, std::uint64_t{20260917}}) {
+    for (std::uint64_t n : sizes) {
+      check(Phase1Order(n, seed), n, seed);
+      if (testing::Test::HasFatalFailure()) return;
+    }
+  }
+  const Phase1Order id = Phase1Order::identity(1000);
+  for (std::int64_t p = 0; p < 1000; ++p) ASSERT_EQ(id.element(p), p);
+}
+
+// build_batch must produce exactly the tree build_one produces when applied
+// in the order's sequence, at any batch split — including when in-flight
+// lanes race for one empty slot and the later POSITION (not the smaller
+// element index) has to stall.
 TEST(TreeStateDetail, BuildBatchMatchesSequentialBuild) {
-  const std::vector<std::uint64_t> keys{9, 4, 12, 1, 6, 10, 15, 0, 5, 8, 11, 13, 2, 7};
-  auto ref = build_sequential(keys);
-  BuiltTree t{keys, nullptr};
-  t.state = std::make_unique<State>(
-      std::span<const std::uint64_t>(t.keys.data(), t.keys.size()),
-      std::less<std::uint64_t>{});
-  wfsort::detail::BuildTally tally;
-  ASSERT_TRUE(wfsort::detail::build_batch(*t.state, 0, t.state->n(), tally, kKeepGoing));
-  EXPECT_GT(tally.iterations, 0u);
-  EXPECT_GE(tally.max_iterations, 1u);
-  for (std::int64_t i = 0; i < t.state->n(); ++i) {
-    EXPECT_EQ(t.state->child_of(i, kSmall), ref->child_of(i, kSmall)) << i;
-    EXPECT_EQ(t.state->child_of(i, kBig), ref->child_of(i, kBig)) << i;
+  using wfsort::detail::Phase1Order;
+  std::vector<std::uint64_t> shuffled(600);
+  wfsort::Rng rng(11);
+  for (auto& k : shuffled) k = rng.below(40);  // duplicates: index tie-breaks
+  const std::vector<std::vector<std::uint64_t>> key_sets = {
+      {9, 4, 12, 1, 6, 10, 15, 0, 5, 8, 11, 13, 2, 7}, shuffled};
+  for (const auto& keys : key_sets) {
+    const auto n = static_cast<std::uint64_t>(keys.size());
+    for (const Phase1Order& order : {Phase1Order::identity(n), Phase1Order(n, 3),
+                                     Phase1Order(n, 0x50535a97)}) {
+      BuiltTree ref = empty_tree(keys);
+      for (std::int64_t p = 0; p < ref->n(); ++p) {
+        wfsort::detail::build_one(*ref, order.element(p));
+      }
+      for (std::int64_t batch : {std::int64_t{5}, ref->n()}) {
+        BuiltTree t = empty_tree(keys);
+        wfsort::detail::BuildTally tally;
+        for (std::int64_t lo = 0; lo < t->n(); lo += batch) {
+          ASSERT_TRUE(wfsort::detail::build_batch(
+              *t.state, order, lo, std::min(t->n(), lo + batch), tally, kKeepGoing));
+        }
+        EXPECT_EQ(tally.installs, n - 1);
+        EXPECT_GE(tally.max_iterations, 1u);
+        for (std::int64_t i = 0; i < t->n(); ++i) {
+          ASSERT_EQ(t->child_of(i, kSmall), ref->child_of(i, kSmall))
+              << "n=" << n << " batch=" << batch << " node " << i;
+          ASSERT_EQ(t->child_of(i, kBig), ref->child_of(i, kBig))
+              << "n=" << n << " batch=" << batch << " node " << i;
+        }
+      }
+    }
   }
 }
 

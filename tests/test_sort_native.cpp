@@ -313,6 +313,10 @@ INSTANTIATE_TEST_SUITE_P(AllWorkloads, SortSweep, testing::ValuesIn(make_sweep()
 // phase-1 strategies (pivot tree and blocked partition).
 struct KnobParam {
   std::uint32_t wat_batch;
+  // gtest lists a parameter it has no printer for by its raw bytes; an
+  // explicit zero here keeps uninitialised padding (stack leftovers, pointer
+  // fragments that move with ASLR) out of the listed test names.
+  std::uint32_t zero_pad = 0;
   std::uint64_t seq_cutoff;
   Variant variant;
   Phase1 phase1 = Phase1::kTree;
@@ -347,9 +351,12 @@ std::vector<KnobParam> make_knob_sweep() {
   std::vector<KnobParam> out;
   for (std::uint32_t b : {1u, 4u, 16u}) {
     for (std::uint64_t c : {0u, 64u, 128u}) {  // off, small, the re-picked default
-      out.push_back({b, c, Variant::kDeterministic});
-      out.push_back({b, c, Variant::kLowContention});
-      out.push_back({b, c, Variant::kDeterministic, Phase1::kPartition});
+      out.push_back({.wat_batch = b, .seq_cutoff = c, .variant = Variant::kDeterministic});
+      out.push_back({.wat_batch = b, .seq_cutoff = c, .variant = Variant::kLowContention});
+      out.push_back({.wat_batch = b,
+                     .seq_cutoff = c,
+                     .variant = Variant::kDeterministic,
+                     .phase1 = Phase1::kPartition});
     }
   }
   return out;
@@ -400,7 +407,7 @@ TEST(SortNative, LowContentionLargerArray) {
 }
 
 TEST(SortNative, LowContentionAdversarialSortedInput) {
-  // Sorted input is the deterministic variant's worst case (depth N); the LC
+  // Sorted input is Lemma 2.4's index-order worst case (depth N); the LC
   // variant's random insertion order must keep the tree shallow.
   auto v = make_workload(Workload::kSorted, 4096, 0);
   auto orig = v;
@@ -409,8 +416,7 @@ TEST(SortNative, LowContentionAdversarialSortedInput) {
                Options{.threads = 2, .variant = Variant::kLowContention}, &stats);
   expect_sorted_permutation(orig, v, "lc-sorted");
   // Random-order insertion: depth O(log N) w.h.p.  4096 -> log2 = 12; allow
-  // a generous constant.  (The deterministic variant would produce ~sqrt or
-  // worse here; see fig_e2.)
+  // a generous constant.
   EXPECT_LE(stats.tree_depth, 12u * 6u);
 }
 
@@ -426,18 +432,39 @@ TEST(SortNative, LowContentionCopiesKnob) {
   }
 }
 
-TEST(SortNative, DeterministicVariantDepthNOnSortedInputStillSorts) {
-  // Deterministic + sorted input degenerates the pivot tree into a path;
-  // the sort must still complete correctly (just not in optimal time).
-  auto v = make_workload(Workload::kSorted, 2000, 0);
-  auto orig = v;
-  SortStats stats;
-  // One thread inserts in index order, so the pivot tree degenerates into a
-  // single chain of BIG children (with more threads the chains started at
-  // each WAT leaf merge and the depth shrinks).
-  wfsort::sort(std::span<std::uint64_t>(v), Options{.threads = 1}, &stats);
-  expect_sorted_permutation(orig, v, "det-sorted");
-  EXPECT_EQ(stats.tree_depth, 2000u);  // a chain: depth == N
+TEST(SortNative, TreeDepthIsLogarithmicOnEveryDistribution) {
+  // Phase 1 inserts in a seeded pseudo-random order (Section 2.3's
+  // random-first pickup), so no input order — sorted, reversed, organ-pipe,
+  // all-equal (index tie-breaks make it a sorted sequence) — can build the
+  // depth-N chain of Lemma 2.4's worst case.
+  constexpr std::size_t kN = std::size_t{1} << 14;
+  constexpr std::uint32_t kMaxDepth = 4 * 14;  // 4 * log2 N
+  const Workload workloads[] = {Workload::kRandom,      Workload::kSorted,
+                                Workload::kReversed,    Workload::kAllEqual,
+                                Workload::kFewDistinct, Workload::kOrganPipe,
+                                Workload::kRuns};
+  for (Workload w : workloads) {
+    const auto orig = make_workload(w, kN, 77);
+    for (std::uint32_t t : {1u, 4u}) {
+      const std::string label =
+          std::string(workload_name(w)) + "_t" + std::to_string(t);
+      auto v = orig;
+      SortStats stats;
+      wfsort::sort(std::span<std::uint64_t>(v), Options{.threads = t}, &stats);
+      expect_sorted_permutation(orig, v, label);
+      EXPECT_LE(stats.tree_depth, kMaxDepth) << label;
+      if (t == 1) {
+        // One worker inserts the seeded order exactly, so the tree — and its
+        // depth — is a function of (input, seed).
+        auto again = orig;
+        SortStats stats_again;
+        wfsort::sort(std::span<std::uint64_t>(again), Options{.threads = 1},
+                     &stats_again);
+        EXPECT_EQ(stats_again.tree_depth, stats.tree_depth) << label;
+        EXPECT_EQ(stats_again.total_build_iters, stats.total_build_iters) << label;
+      }
+    }
+  }
 }
 
 // ------------------------------------------------------------ fault injection
