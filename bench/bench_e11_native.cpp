@@ -150,6 +150,10 @@ void BM_BitonicThreaded(benchmark::State& state) {
 
 }  // namespace
 
+// Every row that takes a thread count (range(1)) is timed in wall-clock
+// time (UseRealTime): the default divides items_per_second by the MAIN
+// thread's CPU time, which overstates a threaded sort's throughput by
+// however much of the work the other threads did.
 BENCHMARK(BM_StdSort)
     ->Arg(1 << 14)
     ->Arg(1 << 16)
@@ -164,7 +168,8 @@ BENCHMARK(BM_WaitFreeSortDet)
     ->Args({1 << 20, 1})
     ->Args({1 << 20, 4})
     ->Unit(benchmark::kMillisecond)
-    ->MinTime(0.2);
+    ->MinTime(0.2)
+    ->UseRealTime();
 BENCHMARK(BM_WaitFreeSortDetPartition)
     ->Args({1 << 14, 1})
     ->Args({1 << 14, 4})
@@ -173,12 +178,14 @@ BENCHMARK(BM_WaitFreeSortDetPartition)
     ->Args({1 << 20, 1})
     ->Args({1 << 20, 4})
     ->Unit(benchmark::kMillisecond)
-    ->MinTime(0.2);
+    ->MinTime(0.2)
+    ->UseRealTime();
 BENCHMARK(BM_WaitFreeSortLc)
     ->Args({1 << 14, 4})
     ->Args({1 << 20, 4})
     ->Unit(benchmark::kMillisecond)
-    ->MinTime(0.2);
+    ->MinTime(0.2)
+    ->UseRealTime();
 // The small-N sweep 2^10..2^16 (where setup IS the latency), plus a 2^20
 // parity row (pooled must be within noise of cold at large N).  Microsecond
 // units: the pooled small-N rows are far below a millisecond.
@@ -189,7 +196,8 @@ BENCHMARK(BM_WaitFreeSortCold)
     ->Args({1 << 16, 4})
     ->Args({1 << 20, 4})
     ->Unit(benchmark::kMicrosecond)
-    ->MinTime(0.2);
+    ->MinTime(0.2)
+    ->UseRealTime();
 BENCHMARK(BM_WaitFreeSortPooled)
     ->Args({1 << 10, 4})
     ->Args({1 << 12, 4})
@@ -197,24 +205,28 @@ BENCHMARK(BM_WaitFreeSortPooled)
     ->Args({1 << 16, 4})
     ->Args({1 << 20, 4})
     ->Unit(benchmark::kMicrosecond)
-    ->MinTime(0.2);
+    ->MinTime(0.2)
+    ->UseRealTime();
 BENCHMARK(BM_LockParallelQuicksort)
     ->Args({1 << 16, 1})
     ->Args({1 << 16, 4})
     ->Unit(benchmark::kMillisecond)
-    ->MinTime(0.2);
+    ->MinTime(0.2)
+    ->UseRealTime();
 BENCHMARK(BM_ParallelMergesort)
     ->Args({1 << 16, 1})
     ->Args({1 << 16, 4})
     ->Args({1 << 20, 1})
     ->Args({1 << 20, 4})
     ->Unit(benchmark::kMillisecond)
-    ->MinTime(0.2);
+    ->MinTime(0.2)
+    ->UseRealTime();
 BENCHMARK(BM_BitonicThreaded)
     ->Args({1 << 16, 1})
     ->Args({1 << 16, 4})
     ->Unit(benchmark::kMillisecond)
-    ->MinTime(0.2);
+    ->MinTime(0.2)
+    ->UseRealTime();
 
 // Custom main instead of BENCHMARK_MAIN(): stamp this binary's own build
 // type into the report context.  The distro's libbenchmark ships a fixed

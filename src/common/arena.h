@@ -21,8 +21,8 @@
 // Storage is always 64-byte aligned (cache-line isolation is part of the
 // contract: PackedNode and the telemetry scratch rely on it).  Only
 // trivially-destructible element types are supported — buffers are
-// recycled by re-running placement default-initialization, never by
-// running destructors.
+// recycled by re-running placement construction, never by running
+// destructors.
 #pragma once
 
 #include <cstddef>
@@ -87,20 +87,31 @@ class RunArena {
     return s.ptr;
   }
 
-  // An array of `count` default-initialized T.  Default-initialization
-  // matches the owning `new T[count]` path bit for bit: C++20 atomics
+  // An array of `count` default-initialized T: C++20 atomics
   // value-initialize their payload in their default constructor, trivial
   // types stay uninitialized until the caller writes them.
   template <typename T>
   T* make(std::size_t count) {
+    static_assert(alignof(T) <= kAlign, "raise RunArena::kAlign");
+    return construct_each<T>(raw(count * sizeof(T)), count, default_construct<T>);
+  }
+
+  // Construct element i of the `count` T at `storage` in place with
+  // `construct(&element, i)`: one writing pass, whatever the storage held
+  // before.  The one construction loop behind make() and ArenaArray.
+  template <typename T, typename Construct>
+  static T* construct_each(void* storage, std::size_t count,
+                           const Construct& construct) {
     static_assert(std::is_trivially_destructible_v<T>,
                   "arena storage is recycled without running destructors");
-    static_assert(alignof(T) <= kAlign, "raise RunArena::kAlign");
-    T* p = static_cast<T*>(raw(count * sizeof(T)));
-    for (std::size_t i = 0; i < count; ++i) {
-      ::new (static_cast<void*>(p + i)) T;
-    }
+    T* p = static_cast<T*>(storage);
+    for (std::size_t i = 0; i < count; ++i) construct(static_cast<void*>(p + i), i);
     return p;
+  }
+
+  template <typename T>
+  static void default_construct(void* p, std::size_t /*i*/) {
+    ::new (p) T;
   }
 
   // A single constructed object.  The caller is responsible for calling the
@@ -145,22 +156,35 @@ class RunArena {
   Totals totals_{};
 };
 
-// A flat array that either owns its storage (`new T[n]`, the cold one-shot
-// path and direct construction in tests) or borrows it from a RunArena
-// (the pooled path).  Same element semantics either way; the structures
-// built on top (TreeState, Wat, FatTree, …) are oblivious to the choice.
+// A flat array that either owns its storage (the cold one-shot path and
+// direct construction in tests) or borrows it from a RunArena (the pooled
+// path).  Same element semantics either way; the structures built on top
+// (TreeState, Wat, FatTree, …) are oblivious to the choice.
 template <typename T>
 class ArenaArray {
  public:
   ArenaArray() = default;
 
+  // `count` default-initialized T (RunArena::make<T>(count) semantics).
   explicit ArenaArray(std::size_t count)
-      : owned_(count == 0 ? nullptr : new T[count]),
-        ptr_(owned_.get()),
-        count_(count) {}
-
+      : ArenaArray(count, nullptr, RunArena::default_construct<T>) {}
   ArenaArray(std::size_t count, RunArena& arena)
-      : ptr_(count == 0 ? nullptr : arena.make<T>(count)), count_(count) {}
+      : ArenaArray(count, &arena, RunArena::default_construct<T>) {}
+
+  // `count` T, element i constructed in place by `construct(storage, i)`,
+  // in `arena` storage or, when `arena` is null, in storage of its own.
+  template <typename Construct>
+  ArenaArray(std::size_t count, RunArena* arena, const Construct& construct)
+      : count_(count) {
+    static_assert(alignof(T) <= RunArena::kAlign, "raise RunArena::kAlign");
+    if (count == 0) return;
+    const std::size_t bytes = count * sizeof(T);
+    if (arena == nullptr) {
+      owned_.reset(::operator new(bytes, std::align_val_t{RunArena::kAlign}));
+    }
+    ptr_ = RunArena::construct_each<T>(
+        arena != nullptr ? arena->raw(bytes) : owned_.get(), count, construct);
+  }
 
   ArenaArray(ArenaArray&&) noexcept = default;
   ArenaArray& operator=(ArenaArray&&) noexcept = default;
@@ -179,7 +203,12 @@ class ArenaArray {
   const T* end() const { return ptr_ + count_; }
 
  private:
-  std::unique_ptr<T[]> owned_;
+  struct Free {
+    void operator()(void* p) const {
+      ::operator delete(p, std::align_val_t{RunArena::kAlign});
+    }
+  };
+  std::unique_ptr<void, Free> owned_;
   T* ptr_ = nullptr;
   std::size_t count_ = 0;
 };

@@ -17,8 +17,13 @@
 //     random-first pickup), so no input order builds a deep tree;
 //   * phase-3 subtrees at or below Options::seq_cutoff are emitted by one
 //     sequential in-order walk (place_block);
+//   * set-up constructs each node record once, in place, in its initial
+//     state (the paper's records with EMPTY children already in shared
+//     memory), whatever the storage held before;
 //   * per-element statistics accumulate in per-worker tallies and are
-//     flushed into the shared atomics once per phase;
+//     flushed into the shared atomics once per phase; the pivot tree's
+//     depth is derived from those tallies (Lemma 2.4: an element's build
+//     iterations are its depth minus one), never by walking the tree;
 //   * workers that finish all phases help copy the assembled output back
 //     into the caller's buffer in parallel chunks — safe because keys were
 //     copied into the node records up front, so nobody reads the caller's
@@ -129,7 +134,7 @@ class Engine {
         seq_cutoff_(opts.seq_cutoff),
         copy_back_(assemble_into_data),
         arena_(arena != nullptr ? arena : &own_arena_),
-        st_(std::span<const Key>(data.data(), data.size()), cmp, *arena_),
+        st_(std::span<const Key>(data.data(), data.size()), cmp, arena_),
         wat_(batch_jobs(data.size() < 2 ? 1 : data.size(), wat_batch_),
              *arena_) {
     effective_variant_ = opts.variant;
@@ -156,9 +161,6 @@ class Engine {
       copy_chunks_ = (data_.size() + kCopyChunk - 1) / kCopyChunk;
       copy_done_ =
           ArenaArray<std::atomic<std::uint8_t>>(copy_chunks_, *arena_);
-      for (std::uint64_t c = 0; c < copy_chunks_; ++c) {
-        copy_done_[c].store(0, std::memory_order_relaxed);
-      }
     }
   }
 
@@ -251,7 +253,8 @@ class Engine {
     s.cas_successes = install_cas_.load(std::memory_order_relaxed);
     s.fat_read_misses = fat_misses_.load(std::memory_order_relaxed);
     s.telemetry = report_;
-    s.tree_depth = measured_depth();
+    s.tree_depth =
+        static_cast<std::uint32_t>(tree_depth_.load(std::memory_order_relaxed));
     return s;
   }
 
@@ -329,7 +332,7 @@ class Engine {
     for (std::uint32_t g = 0; g < groups; ++g) {
       auto keys = std::span<const Key>(data_.data() + g * slice, slice);
       ::new (static_cast<void*>(lc_->group_states + g))
-          TreeState<Key, Compare>(keys, st_.cmp, arena);
+          TreeState<Key, Compare>(keys, st_.cmp, &arena);
       ::new (static_cast<void*>(lc_->group_wats + g))
           Wat(batch_jobs(slice, wat_batch_), arena);
       ++lc_->constructed;
@@ -342,11 +345,19 @@ class Engine {
   }
 
   // Flush a per-worker phase-1 tally into the shared statistics — one RMW
-  // per counter per worker instead of three per element.
-  void flush_build(const BuildTally& tally) {
+  // per counter per worker instead of three per element.  `top` is the
+  // pivot-tree depth of the nodes the tally's descents started below: 1
+  // (the root) on the det path, the fat tree's leaf level in LC stage E, 0
+  // for descents that build no part of the pivot tree (LC stage A's group
+  // trees).  A descent of k iterations ends at depth top + k, and every
+  // worker that finishes an element — by installing it or by finding it
+  // installed — walked its whole path, so once every worker has flushed
+  // (crashing ones flush too) the maximum is exactly the tree's depth.
+  void flush_build(const BuildTally& tally, std::uint64_t top) {
     if (tally.iterations != 0) {
       total_build_iters_.fetch_add(tally.iterations, std::memory_order_relaxed);
       atomic_fetch_max(max_build_iters_, tally.max_iterations);
+      if (top != 0) atomic_fetch_max(tree_depth_, top + tally.max_iterations);
     }
     if (tally.cas_failures != 0) {
       cas_failures_.fetch_add(tally.cas_failures, std::memory_order_relaxed);
@@ -427,7 +438,7 @@ class Engine {
           return build_batch(st_, order, j * batch,
                              std::min(n, j * batch + batch), tally, chk, tel);
         });
-    flush_build(tally);
+    flush_build(tally, /*top=*/1);
     if (!built) return false;
     // Phases 2 and 3.
     enter_phase(tel, telemetry::PhaseId::kSum);
@@ -490,12 +501,6 @@ class Engine {
     const auto chk = [plan, tid] { return plan == nullptr || plan->checkpoint(tid); };
     const bool tel_detail = tel != nullptr && tel->detail;
     LcShared& lc = *lc_;
-    BuildTally tally;
-    std::uint64_t fat_misses = 0;
-    const auto fail = [&] {
-      flush_build(tally);
-      return false;
-    };
 
     // Stage A: this worker's group pre-sorts its slice with the
     // deterministic algorithm (paper step 1).
@@ -507,16 +512,18 @@ class Engine {
     const auto slice_n = static_cast<std::int64_t>(lc.slice_len);
     const auto batch = static_cast<std::int64_t>(wat_batch_);
     const Phase1Order slice_order(lc.slice_len, opts_.seed);
+    BuildTally presort_tally;
     const bool presorted =
         drive_wat(lc.group_wats[group], tid / lc.groups, group_workers, chk, tel,
                   [&](std::int64_t j) {
                     return build_batch(gst, slice_order, j * batch,
                                        std::min(slice_n, j * batch + batch),
-                                       tally, chk, tel);
+                                       presort_tally, chk, tel);
                   }) &&
         tree_sum(gst, tid, chk) &&
         find_place_emit(gst, tid, PrunePlaced::kNo, seq_cutoff_, chk, tel);
-    if (!presorted) return fail();
+    flush_build(presort_tally, /*top=*/0);
+    if (!presorted) return false;
 
     // Stage B: pick the winning group (paper step 2; Figure 9).
     enter_phase(tel, telemetry::PhaseId::kLcWinner);
@@ -537,7 +544,7 @@ class Engine {
           lc.sorted_bufs + static_cast<std::uint64_t>(tid) * lc.slice_len;
       TreeState<Key, Compare>& wst = lc.group_states[static_cast<std::size_t>(w)];
       for (std::uint64_t i = 0; i < lc.slice_len; ++i) {
-        if (!chk()) return fail();
+        if (!chk()) return false;
         const std::int64_t pl = wst.place_of(static_cast<std::int64_t>(i));
         WFSORT_CHECK(pl > 0);
         built[static_cast<std::size_t>(pl - 1)] =
@@ -564,7 +571,7 @@ class Engine {
     const std::int64_t root = sorted_idx[lc.fat.rank_of(0)];
     st_.set_root(root);
     for (std::uint64_t f = 0; f < lc.fat.node_count(); ++f) {
-      if (!chk()) return fail();
+      if (!chk()) return false;
       const std::int64_t pe = sorted_idx[lc.fat.rank_of(f)];
       if (!lc.fat.is_leaf(f)) {
         const std::int64_t se = sorted_idx[lc.fat.rank_of(lc.fat.left(f))];
@@ -596,6 +603,8 @@ class Engine {
                                static_cast<std::int64_t>(lc.slice_len);
     const std::int64_t wend = wbase + static_cast<std::int64_t>(lc.slice_len);
     const std::int64_t n = st_.n();
+    BuildTally tally;
+    std::uint64_t fat_misses = 0;
     std::uint64_t fat_reads = 0;
     // thread_local: pooled workers keep the stripe buffer's capacity warm
     // across runs (run_worker is never reentrant on one thread).
@@ -644,7 +653,8 @@ class Engine {
       ++lcwat_probes;
       if (lc.insert_wat.step(rng_insert, insert_run) == LcWat::Outcome::kQuit) break;
     }
-    flush_build(tally);
+    // Descents start below the stitched fat tree's leaves, at depth `levels`.
+    flush_build(tally, lc.levels);
     if (fat_misses != 0) fat_misses_.fetch_add(fat_misses, std::memory_order_relaxed);
     if (tel_detail) {
       tel->count(telemetry::Counter::kFatMisses, fat_misses);
@@ -716,17 +726,6 @@ class Engine {
     }
   }
 
-  // Pivot-tree depth is a diagnostic, not a by-product of the sort: it is
-  // measured lazily, the first time stats() wants it, so plain (statsless)
-  // runs skip the full-tree walk entirely.  Same calling contract as
-  // stats(): workers joined, at least one completed.
-  std::uint32_t measured_depth() const {
-    if (measured_depth_ == 0 && data_.size() > 1 && result_ready()) {
-      measured_depth_ = st_.measure_depth();
-    }
-    return measured_depth_;
-  }
-
   // Declared first, so it is stamped before any other member is built.
   const std::chrono::steady_clock::time_point started_ =
       std::chrono::steady_clock::now();
@@ -756,12 +755,14 @@ class Engine {
   std::shared_ptr<const telemetry::Report> report_;
 
   std::atomic<std::uint64_t> max_build_iters_{0};
+  // Pivot-tree depth from the flushed tallies (see flush_build); the root
+  // alone is depth 1, which is all the partition path ever builds.
+  std::atomic<std::uint64_t> tree_depth_{data_.size() > 1 ? 1u : 0u};
   std::atomic<std::uint64_t> total_build_iters_{0};
   std::atomic<std::uint64_t> cas_failures_{0};
   std::atomic<std::uint64_t> install_cas_{0};
   std::atomic<std::uint32_t> completed_{0};
   std::atomic<std::uint32_t> crashed_{0};
-  mutable std::uint32_t measured_depth_ = 0;  // lazy; see measured_depth()
   std::atomic<std::uint64_t> fat_misses_{0};
 };
 

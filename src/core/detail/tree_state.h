@@ -40,6 +40,11 @@ enum Side : int { kSmall = 0, kBig = 1 };
 // still one line better than four scattered arrays).
 template <typename Key>
 struct alignas(64) PackedNode {
+  // A record in its initial state: both children EMPTY, size and place
+  // unknown, not placed, holding its element's key.
+  explicit PackedNode(const Key& k)
+      : child{kNoIdx, kNoIdx}, size(0), place(0), key(k), place_done(0) {}
+
   std::atomic<std::int64_t> child[2];       // kNoIdx = EMPTY; write-once
   std::atomic<std::int64_t> size;           // 0 = unknown
   std::atomic<std::int64_t> place;          // 0 = unknown, else 1-based rank
@@ -64,31 +69,17 @@ struct TreeState {
   ArenaArray<PackedNode<Key>> nodes;  // one record per element
   ArenaArray<std::atomic<Key>> out;   // sorted result (index place-1)
 
-  TreeState(std::span<const Key> k, Compare c)
-      : keys(k), cmp(c), nodes(k.size()), out(k.size()) {
-    init();
-  }
-
-  // Pooled form: records and output borrow RunArena storage.
-  TreeState(std::span<const Key> k, Compare c, RunArena& arena)
-      : keys(k), cmp(c), nodes(k.size(), arena), out(k.size(), arena) {
-    init();
-  }
-
-  void init() {
-    const std::span<const Key> k = keys;
-    root.store(0, std::memory_order_relaxed);
-    for (std::size_t i = 0; i < k.size(); ++i) {
-      PackedNode<Key>& nd = nodes[i];
-      nd.child[0].store(kNoIdx, std::memory_order_relaxed);
-      nd.child[1].store(kNoIdx, std::memory_order_relaxed);
-      nd.size.store(0, std::memory_order_relaxed);
-      nd.place.store(0, std::memory_order_relaxed);
-      nd.place_done.store(0, std::memory_order_relaxed);
-      nd.key = k[i];
-    }
-    std::atomic_thread_fence(std::memory_order_seq_cst);
-  }
+  // Each record is built once, in place, in its initial state — one pass
+  // over the records that writes every field, whatever recycled arena
+  // memory held before.
+  // Records and output borrow `arena` storage; null (tests) means storage
+  // of their own.
+  TreeState(std::span<const Key> k, Compare c, RunArena* arena = nullptr)
+      : keys(k),
+        cmp(c),
+        nodes(k.size(), arena,
+              [k](void* p, std::size_t i) { ::new (p) PackedNode<Key>(k[i]); }),
+        out(k.size(), arena, RunArena::default_construct<std::atomic<Key>>) {}
 
   std::int64_t n() const { return static_cast<std::int64_t>(keys.size()); }
 

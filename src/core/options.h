@@ -143,8 +143,15 @@ struct SortStats {
   std::uint64_t max_build_iters = 0;
   std::uint64_t total_build_iters = 0;
 
-  // Depth of the Quicksort pivot tree: O(log N) w.h.p. on any input, since
-  // phase 1 inserts in a seeded pseudo-random order.
+  // Depth of the Quicksort pivot tree (the root alone is 1; 0 for N <= 1):
+  // O(log N) w.h.p. on any input, since phase 1 inserts in a seeded
+  // pseudo-random order.  Derived from the phase-1 tallies, never by walking
+  // the tree (Lemma 2.4: an element's build iterations are its depth minus
+  // one): 1 + max_build_iters on the det tree, the fat tree's levels + the
+  // deepest stage-E descent on LC, 1 on the partition path (no tree is
+  // built).  Exact once the workers have joined — every blocking entry
+  // point, and SortSession after wait(); a live session reads it as of the
+  // moment, like every other counter.
   std::uint32_t tree_depth = 0;
 
   // Failed CAS attempts during tree building (a native proxy for phase-1

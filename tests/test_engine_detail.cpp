@@ -5,9 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <cstring>
 #include <functional>
 #include <vector>
 
+#include "common/arena.h"
 #include "common/rng.h"
 #include "common/simd.h"
 #include "core/detail/build_phase.h"
@@ -582,6 +585,52 @@ TEST(TreeStateDetail, AllPlacedAndMeasureDepth) {
                                               /*seq_cutoff=*/0, kKeepGoing));
   EXPECT_TRUE(st->all_placed());
   EXPECT_EQ(st->measure_depth(), 3u);  // 3 -> 1 -> 2 chain
+}
+
+// Every record of a freshly built TreeState is in its initial state — both
+// children EMPTY, size, place and completion flag 0 — and holds its key;
+// every output slot is 0.
+void expect_initial_state(const State& st, const std::vector<std::uint64_t>& keys) {
+  ASSERT_EQ(st.nodes.size(), keys.size());
+  ASSERT_EQ(st.out.size(), keys.size());
+  EXPECT_EQ(st.root_idx(), 0);
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    const auto node = static_cast<std::int64_t>(i);
+    EXPECT_EQ(st.child_of(node, kSmall), kNoIdx) << i;
+    EXPECT_EQ(st.child_of(node, kBig), kNoIdx) << i;
+    EXPECT_EQ(st.size_of(node), 0) << i;
+    EXPECT_EQ(st.place_of(node), 0) << i;
+    EXPECT_FALSE(st.place_done_of(node)) << i;
+    EXPECT_EQ(st.key_of(node), keys[i]) << i;
+    EXPECT_EQ(st.out[i].load(), 0u) << i;
+  }
+}
+
+TEST(TreeStateDetail, RecycledArenaRecordsStartInInitialState) {
+  wfsort::Rng rng(17);
+  std::vector<std::uint64_t> keys(777);
+  for (auto& k : keys) k = rng.next();
+  const std::span<const std::uint64_t> view(keys);
+
+  // A previous run left the same slot sequence behind, every byte 0xFF.
+  wfsort::RunArena arena;
+  arena.begin_run();
+  const std::size_t record_bytes =
+      keys.size() * sizeof(wfsort::detail::PackedNode<std::uint64_t>);
+  const std::size_t out_bytes = keys.size() * sizeof(std::atomic<std::uint64_t>);
+  void* records = arena.raw(record_bytes);
+  void* out = arena.raw(out_bytes);
+  std::memset(records, 0xFF, record_bytes);
+  std::memset(out, 0xFF, out_bytes);
+
+  arena.begin_run();
+  State recycled(view, {}, &arena);
+  EXPECT_EQ(static_cast<void*>(recycled.nodes.data()), records);
+  EXPECT_EQ(static_cast<void*>(recycled.out.data()), out);
+  expect_initial_state(recycled, keys);
+
+  State owned(view, {});
+  expect_initial_state(owned, keys);
 }
 
 }  // namespace

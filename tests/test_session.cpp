@@ -193,4 +193,41 @@ TEST(SortSession, TwoConcurrentSessionsAreIndependent) {
   EXPECT_EQ(b, eb);
 }
 
+TEST(SortSession, StatsFromTwoThreads) {
+  // stats() is a const read of the run's counters: two threads may call it
+  // while the workers run and again after wait(), and both must agree once
+  // the run is over (the pivot-tree depth included).
+  auto v = random_data(200000, 13);
+  auto orig = v;
+  wfsort::SortSession<std::uint64_t> session(std::span<std::uint64_t>(v),
+                                             Options{.threads = 4});
+  for (int i = 0; i < 3; ++i) session.spawn_worker();
+  const auto poll = [&session] {
+    std::uint32_t reads = 0;
+    do {
+      const wfsort::SortStats s = session.stats();
+      EXPECT_EQ(s.n, 200000u);
+      EXPECT_GE(s.tree_depth, 1u);  // the root, at least
+      ++reads;
+    } while (!session.finished() || reads < 4);
+  };
+  {
+    std::jthread a(poll);
+    std::jthread b(poll);
+  }
+  session.wait();
+  wfsort::SortStats after_a;
+  wfsort::SortStats after_b;
+  {
+    std::jthread a([&] { after_a = session.stats(); });
+    std::jthread b([&] { after_b = session.stats(); });
+  }
+  EXPECT_GE(after_a.completed_workers, 1u);
+  EXPECT_GE(after_a.tree_depth, 2u);
+  EXPECT_EQ(after_a.tree_depth, after_a.max_build_iters + 1);
+  EXPECT_EQ(after_a.tree_depth, after_b.tree_depth);
+  EXPECT_EQ(after_a.total_build_iters, after_b.total_build_iters);
+  expect_sorted_permutation(orig, v);
+}
+
 }  // namespace

@@ -12,6 +12,8 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "core/pool.h"
+#include "core/session.h"
 #include "core/sort.h"
 #include "telemetry/schema.h"
 #include "runtime/adversaries.h"
@@ -463,6 +465,107 @@ TEST(SortNative, TreeDepthIsLogarithmicOnEveryDistribution) {
         EXPECT_EQ(stats_again.tree_depth, stats.tree_depth) << label;
         EXPECT_EQ(stats_again.total_build_iters, stats.total_build_iters) << label;
       }
+    }
+  }
+}
+
+// SortStats::tree_depth is derived from the phase-1 tallies — 1 + the
+// deepest descent on the tree path, the fat tree's levels + the deepest
+// stage-E descent on LC, the root alone (1) on the partition path — and
+// must equal a walk of the finished tree on every path, size and input,
+// with and without crashes.
+using U64Engine = wfsort::detail::Engine<std::uint64_t, std::less<std::uint64_t>>;
+
+const Workload kDepthWorkloads[] = {Workload::kRandom, Workload::kSorted,
+                                    Workload::kReversed, Workload::kFewDistinct,
+                                    Workload::kAllEqual};
+
+std::vector<Options> depth_paths() {
+  return {Options{}, Options{.phase1 = Phase1::kPartition},
+          Options{.variant = Variant::kLowContention}};
+}
+
+std::string depth_label(const Options& o, std::size_t n, Workload w) {
+  const char* path = o.variant == Variant::kLowContention ? "lc"
+                     : o.phase1 == Phase1::kPartition     ? "partition"
+                                                          : "tree";
+  return std::string(path) + "_t" + std::to_string(o.threads) + "_n" +
+         std::to_string(n) + "_" + workload_name(w);
+}
+
+// The walked depth of the tree one worker (id 0) builds alone: with a single
+// worker the tree is a function of (input, Options) only.
+std::uint32_t solo_walked_depth(std::vector<std::uint64_t> v, const Options& opts) {
+  U64Engine engine(std::span<std::uint64_t>(v), {}, opts);
+  EXPECT_TRUE(engine.run_worker(0));
+  return engine.state().measure_depth();
+}
+
+TEST(SortNative, TreeDepthEqualsTreeWalk) {
+  const std::size_t sizes[] = {2, 63, 64, 65, 4096, std::size_t{1} << 16};
+  for (const Options& path : depth_paths()) {
+    for (std::uint32_t t : {1u, 4u}) {
+      Options opts = path;
+      opts.threads = t;
+      // The canned staggered-kills adversary: every worker but id 0 dies.
+      const wfsort::runtime::FaultScript script =
+          wfsort::runtime::staggered_kills(/*first_round=*/40, /*stride=*/400, t,
+                                           /*survivors=*/1);
+      for (std::size_t n : sizes) {
+        for (Workload w : kDepthWorkloads) {
+          for (bool faulted : {false, true}) {
+            const std::string label =
+                depth_label(opts, n, w) + (faulted ? "_faulted" : "");
+            auto v = make_workload(w, n, 31 + n);
+            const auto orig = v;
+            U64Engine engine(std::span<std::uint64_t>(v), {}, opts);
+            wfsort::runtime::FaultPlan plan(t);
+            wfsort::runtime::program_plan(script, plan);
+            SortStats stats;
+            ASSERT_TRUE(wfsort::detail::drive(engine, opts, faulted ? &plan : nullptr,
+                                              wfsort::detail::ThreadLauncher{},
+                                              &stats))
+                << label;
+            expect_sorted_permutation(orig, v, label);
+            EXPECT_EQ(stats.tree_depth, engine.state().measure_depth()) << label;
+            if (engine.effective_variant() == Variant::kDeterministic &&
+                opts.phase1 == Phase1::kTree) {
+              EXPECT_EQ(stats.tree_depth, stats.max_build_iters + 1) << label;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(SortNative, TreeDepthEqualsTreeWalkThroughPoolAndSession) {
+  constexpr std::size_t kN = 4096;
+  wfsort::SortPool pool(4);
+  for (const Options& path : depth_paths()) {
+    for (Workload w : kDepthWorkloads) {
+      const auto orig = make_workload(w, kN, 5);
+      // SortPool at t=1: the pooled run is the solo run, on recycled memory.
+      Options solo = path;
+      solo.threads = 1;
+      auto pooled = orig;
+      SortStats pool_stats;
+      pool.sort(std::span<std::uint64_t>(pooled), solo, &pool_stats);
+      expect_sorted_permutation(orig, pooled, depth_label(solo, kN, w) + "_pool");
+      EXPECT_EQ(pool_stats.tree_depth, solo_walked_depth(orig, solo))
+          << depth_label(solo, kN, w) << "_pool";
+
+      // A SortSession nobody spawns into: wait() runs worker 0 alone.
+      Options session_opts = path;
+      session_opts.threads = 4;
+      auto in_session = orig;
+      wfsort::SortSession<std::uint64_t> session(std::span<std::uint64_t>(in_session),
+                                                 session_opts);
+      session.wait();
+      expect_sorted_permutation(orig, in_session,
+                                depth_label(session_opts, kN, w) + "_session");
+      EXPECT_EQ(session.stats().tree_depth, solo_walked_depth(orig, session_opts))
+          << depth_label(session_opts, kN, w) << "_session";
     }
   }
 }
