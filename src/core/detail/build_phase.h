@@ -144,18 +144,12 @@ BuildResult build_from(TreeState<Key, Compare>& st, std::int64_t i,
     ++r.iterations;
     WFSORT_DCHECK(r.iterations <= static_cast<std::uint64_t>(st.n()));  // Lemma 2.4
     const Side side = st.descend_side(i, parent);
-    auto& slot = st.child_slot(parent, side);
     // Probe first (paper line 15 re-read, hoisted): only an EMPTY slot is
-    // worth an RMW.
-    std::int64_t c = slot.load(std::memory_order_acquire);
-    if (c == kNoIdx) {
-      std::int64_t expected = kNoIdx;
-      if (slot.compare_exchange_strong(expected, i, std::memory_order_acq_rel,
-                                       std::memory_order_acquire)) {
-        r.installs = 1;
-        return r;
-      }
-      c = expected;  // some processor won the slot concurrently
+    // worth an RMW.  A lost CAS leaves the concurrent winner in `c`.
+    std::int64_t c = st.child_of(parent, side);
+    if (c == kNoIdx && st.try_install(parent, side, i, c)) {
+      r.installs = 1;
+      return r;
     }
     WFSORT_DCHECK(c != kNoIdx);
     if (c == i) return r;
@@ -303,19 +297,14 @@ bool build_batch(TreeState<Key, Compare>& st, const Phase1Order& order,
       } else {
         side = st.descend_side(ln.elem, ln.parent);
       }
-      auto& slot = st.child_slot(ln.parent, side);
-      std::int64_t c = slot.load(std::memory_order_acquire);
+      std::int64_t c = st.child_of(ln.parent, side);
       bool installed = false;
       if (c == kNoIdx) {
         if (smaller_rival(l, ln, side)) {
           ++l;  // stall: re-probe next round, after the rival's CAS
           continue;
         }
-        std::int64_t expected = kNoIdx;
-        installed = slot.compare_exchange_strong(expected, ln.elem,
-                                                 std::memory_order_acq_rel,
-                                                 std::memory_order_acquire);
-        if (!installed) c = expected;
+        installed = st.try_install(ln.parent, side, ln.elem, c);
       }
       ++ln.iterations;
       WFSORT_DCHECK(ln.iterations <= static_cast<std::uint64_t>(st.n()));
@@ -427,16 +416,11 @@ bool build_lanes(TreeState<Key, Compare>& st, const std::int64_t* elems,
       } else {
         side = st.descend_side(ln.elem, ln.parent);
       }
-      auto& slot = st.child_slot(ln.parent, side);
-      std::int64_t c = slot.load(std::memory_order_acquire);
+      std::int64_t c = st.child_of(ln.parent, side);
       bool installed = false;
       if (c == kNoIdx) {
-        std::int64_t expected = kNoIdx;
-        installed = slot.compare_exchange_strong(expected, ln.elem,
-                                                 std::memory_order_acq_rel,
-                                                 std::memory_order_acquire);
+        installed = st.try_install(ln.parent, side, ln.elem, c);
         if (!installed) {
-          c = expected;
           const std::uint32_t spins = backoff_spins(++ln.lost, backoff_limit);
           for (std::uint32_t s = 0; s < spins; ++s) cpu_pause();
           tally.backoff_spins += spins;

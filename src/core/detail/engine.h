@@ -8,8 +8,12 @@
 // only idempotent or write-once state behind and never endanger the rest.
 //
 // Hot-path structure (docs/native_engine.md):
-//   * the pivot tree lives in packed per-node records (TreeState), one
-//     cache line per visit instead of four parallel arrays;
+//   * every entry point constructs an Engine, and the Engine CHECKs
+//     n < 2^31 (detail::kMaxElements) before it allocates anything or reads
+//     the input, so every element index fits the records' 32-bit fields;
+//   * the pivot tree lives in packed 32-byte per-node records (TreeState),
+//     one cache-line visit instead of four parallel arrays; the partition
+//     phase 1 builds no tree and allocates no records at all;
 //   * phase-1 work is claimed in batches of Options::wat_batch adjacent
 //     jobs per WAT traversal (the paper's K), built with interleaved,
 //     prefetched descents (build_batch); the jobs are positions in a
@@ -26,8 +30,9 @@
 //     iterations are its depth minus one), never by walking the tree;
 //   * workers that finish all phases help copy the assembled output back
 //     into the caller's buffer in parallel chunks — safe because keys were
-//     copied into the node records up front, so nobody reads the caller's
-//     buffer after construction.  finalize() only sweeps chunks no worker
+//     copied up front (into the node records, or into the partition path's
+//     own key array), so nobody reads the caller's buffer after
+//     construction.  finalize() only sweeps chunks no worker
 //     got to (it must still be called after the workers are joined and at
 //     least one completed).
 #pragma once
@@ -94,6 +99,13 @@ inline Rng worker_stage_rng(std::uint64_t seed, std::uint32_t tid, LcRngStage st
 // must not have to name a template instantiation to do it.)
 inline constexpr std::uint64_t kLcMinN = 64;
 
+// The variant a run of `n` elements actually executes.
+inline Variant effective_variant(const Options& opts, std::uint64_t n) {
+  return opts.variant == Variant::kLowContention && n < kLcMinN
+             ? Variant::kDeterministic
+             : opts.variant;
+}
+
 // Output copy-back is chunked so finished workers can share it; the
 // per-chunk done flags make finalize()'s sweep exact.
 inline constexpr std::uint64_t kCopyChunk = 8192;
@@ -127,23 +139,20 @@ class Engine {
   Engine(std::span<Key> data, Compare cmp, const Options& opts,
          bool assemble_into_data = true, RunArena* arena = nullptr,
          telemetry::Recorder* recorder = nullptr)
-      : data_(data),
+      : data_(checked_size(data)),
         opts_(opts),
+        effective_variant_(detail::effective_variant(opts, data.size())),
         nominal_threads_(opts.resolved_threads()),
         wat_batch_(std::max<std::uint64_t>(1, opts.wat_batch)),
         seq_cutoff_(opts.seq_cutoff),
         copy_back_(assemble_into_data),
         arena_(arena != nullptr ? arena : &own_arena_),
-        st_(std::span<const Key>(data.data(), data.size()), cmp, arena_),
+        st_(std::span<const Key>(data.data(), data.size()), cmp, arena_,
+            /*with_records=*/!partition_path()),
         wat_(batch_jobs(data.size() < 2 ? 1 : data.size(), wat_batch_),
              *arena_) {
-    effective_variant_ = opts.variant;
-    if (effective_variant_ == Variant::kLowContention && data.size() < kLcMinN) {
-      effective_variant_ = Variant::kDeterministic;
-    }
     if (effective_variant_ == Variant::kLowContention) init_lc();
-    if (effective_variant_ == Variant::kDeterministic &&
-        opts.phase1 == Phase1::kPartition && data_.size() > 1) {
+    if (partition_path()) {
       part_ = arena_->create<PartitionShared<Key>>(
           std::span<const Key>(data_.data(), data_.size()), *arena_);
     }
@@ -202,7 +211,7 @@ class Engine {
     }
     // This worker placed or pruned-as-placed every element, so the output
     // is fully assembled: help copy it back while stragglers keep going
-    // (they only touch the node records, never the caller's buffer).
+    // (they only touch the run's own arrays, never the caller's buffer).
     enter_phase(tel, telemetry::PhaseId::kCopyBack);
     assist_copy_back();
     return true;
@@ -216,7 +225,7 @@ class Engine {
   void finalize() {
     if (data_.size() <= 1) return;
     WFSORT_CHECK(result_ready());
-    WFSORT_DCHECK(st_.all_placed());
+    WFSORT_DCHECK(part_ != nullptr ? part_->all_ranked() : st_.all_placed());
     for (std::uint64_t c = 0; c < copy_chunks_; ++c) {
       if (copy_done_[c].load(std::memory_order_acquire) == 0) copy_chunk(c);
     }
@@ -266,7 +275,42 @@ class Engine {
   TreeState<Key, Compare>& state() { return st_; }
   const TreeState<Key, Compare>& state() const { return st_; }
 
+  // The sorting permutation of a completed run: perm[rank - 1] = index of
+  // the element of that rank.  The partition path hands over its
+  // rank-to-index array; the tree paths invert the records' places.  Call
+  // with all workers joined and result_ready().
+  void permutation(std::span<std::uint32_t> perm) const {
+    WFSORT_CHECK(perm.size() == data_.size());
+    if (data_.size() <= 1) {
+      if (!perm.empty()) perm[0] = 0;
+      return;
+    }
+    if (part_ != nullptr) {
+      for (std::size_t r = 0; r < perm.size(); ++r) {
+        perm[r] = static_cast<std::uint32_t>(
+            part_->perm[r].load(std::memory_order_relaxed));
+      }
+      return;
+    }
+    for (std::size_t i = 0; i < perm.size(); ++i) {
+      const std::int64_t place = st_.place_of(static_cast<std::int64_t>(i));
+      perm[static_cast<std::size_t>(place - 1)] = static_cast<std::uint32_t>(i);
+    }
+  }
+
  private:
+  // The first member initializer: nothing is allocated or read before it.
+  static std::span<Key> checked_size(std::span<Key> data) {
+    WFSORT_CHECK(data.size() < kMaxElements);
+    return data;
+  }
+
+  // Det + Phase1::kPartition: no pivot tree, so no node records.
+  bool partition_path() const {
+    return effective_variant_ == Variant::kDeterministic &&
+           opts_.phase1 == Phase1::kPartition && data_.size() > 1;
+  }
+
   static std::uint64_t batch_jobs(std::uint64_t n, std::uint64_t batch) {
     return (n + batch - 1) / batch;
   }
@@ -576,8 +620,8 @@ class Engine {
       if (!lc.fat.is_leaf(f)) {
         const std::int64_t se = sorted_idx[lc.fat.rank_of(lc.fat.left(f))];
         const std::int64_t be = sorted_idx[lc.fat.rank_of(lc.fat.right(f))];
-        st_.child_slot(pe, kSmall).store(se, std::memory_order_release);
-        st_.child_slot(pe, kBig).store(be, std::memory_order_release);
+        st_.set_child(pe, kSmall, se);
+        st_.set_child(pe, kBig, be);
       }
     }
 

@@ -26,11 +26,23 @@
 //              identical values to identical slots.
 //   buckets    jobs = buckets.  The worker copies one bucket's scattered
 //              pairs into PRIVATE scratch, sorts them with leaf_sort, and
-//              emits consecutive ranks from the bucket's base.  (The copy is
-//              load-bearing: two workers may sort the same bucket
-//              concurrently, and an in-place sort of shared memory would
-//              interleave swaps — each sorts its own copy; emits are
-//              idempotent.)
+//              emits consecutive ranks from the bucket's base: the key into
+//              the output slot of its rank, the element index into the
+//              rank-to-index array.  (The copy is load-bearing: two workers
+//              may sort the same bucket concurrently, and an in-place sort
+//              of shared memory would interleave swaps — each sorts its own
+//              copy; emits are idempotent.)
+//
+// No node records.  This path builds no tree, so its TreeState has none
+// (only the output slots): the sweeps read keys from the path's own dense
+// copy and write ranks into a 4-byte rank-to-index array, never a 32-byte
+// record.  The key copy is made on the constructing thread, before any
+// worker starts, and must stay there.  Copy-back begins as soon as one
+// worker finishes and overwrites the caller's buffer; a duplicate classify
+// job that copied its chunk from that buffer could then read a sorted
+// output key instead of the input key, and go on to store wrong bucket
+// ids, wrong histogram counts and — through its own scatter and bucket
+// jobs — wrong output slots while copy-back is still running.
 //
 // Sweep ordering without barriers: a worker starts sweep k+1 only after ITS
 // sweep-k Wat loop returned kAllJobsDone, which acquire-read the done flags
@@ -77,12 +89,9 @@ struct PartitionShared {
   std::int64_t buckets = 0;
   std::int64_t sample_size = 0;  // kOversample * buckets, capped at n
 
-  // Flat, immutable key copy made before the workers start.  The classify
-  // and scatter sweeps stream every key once each; reading them out of the
-  // 64-byte packed node records would move 8x the necessary bytes (and the
-  // caller's buffer is off-limits once finished workers start copying the
-  // output back over it), so the partition phase keeps its own dense copy —
-  // sizeof(Key) per element, sequential.
+  // Flat, immutable key copy made before the workers start (see the header:
+  // the caller's buffer is off-limits once finished workers start copying
+  // the output back over it) — sizeof(Key) per element, sequential.
   ArenaArray<Key> keys;
   // chunks x buckets per-chunk bucket counts (row-major).  Written with
   // relaxed stores of identical values; completeness and visibility are
@@ -93,10 +102,13 @@ struct PartitionShared {
   // idempotent-store / ALLDONE-gated discipline as `hist`; uint16 because
   // kMaxBuckets is 1024.
   ArenaArray<std::atomic<std::uint16_t>> bucket_id;
-  // Scattered (key, index) pairs, one deterministic slot per element.  The
-  // index fits uint32 by the ctor CHECK below.
+  // Scattered (key, index) pairs, one deterministic slot per element.
   ArenaArray<std::atomic<Key>> skey;
-  ArenaArray<std::atomic<std::uint32_t>> sidx;
+  ArenaArray<std::atomic<Idx>> sidx;
+  // perm[r] = index of the element of rank r+1 — the bucket sweep's output
+  // next to TreeState::out, and what sort_permutation returns.  Stores of
+  // identical values; completeness is gated by bucket_wat's done flags.
+  ArenaArray<std::atomic<Idx>> perm;
 
   Wat classify_wat;
   Wat scatter_wat;
@@ -112,6 +124,7 @@ struct PartitionShared {
         bucket_id(static_cast<std::size_t>(n)),
         skey(static_cast<std::size_t>(n)),
         sidx(static_cast<std::size_t>(n)),
+        perm(static_cast<std::size_t>(n)),
         classify_wat(static_cast<std::uint64_t>(chunks)),
         scatter_wat(static_cast<std::uint64_t>(chunks)),
         bucket_wat(static_cast<std::uint64_t>(buckets)) {
@@ -129,22 +142,34 @@ struct PartitionShared {
         bucket_id(static_cast<std::size_t>(n), arena),
         skey(static_cast<std::size_t>(n), arena),
         sidx(static_cast<std::size_t>(n), arena),
+        perm(static_cast<std::size_t>(n), arena),
         classify_wat(static_cast<std::uint64_t>(chunks), arena),
         scatter_wat(static_cast<std::uint64_t>(chunks), arena),
         bucket_wat(static_cast<std::uint64_t>(buckets), arena) {
     init(input);
   }
 
+  // n < kMaxElements (the Engine's CHECK) keeps the uint32 scatter
+  // offsets and the Idx arrays in range.
   void init(std::span<const Key> input) {
     WFSORT_CHECK(n > 0);
-    // Scatter-offset bookkeeping and sidx are uint32; 2^32 elements is
-    // 32 GiB of keys.
-    WFSORT_CHECK(n <= static_cast<std::int64_t>(UINT32_MAX));
     for (std::size_t i = 0; i < input.size(); ++i) keys[i] = input[i];
   }
 
   const Key& key(std::int64_t i) const {
     return keys[static_cast<std::size_t>(i)];
+  }
+
+  // Post-run validation (single-threaded use), this path's all_placed():
+  // every rank holds an element index and no index appears twice.
+  bool all_ranked() const {
+    std::vector<bool> seen(static_cast<std::size_t>(n), false);
+    for (std::size_t r = 0; r < perm.size(); ++r) {
+      const Idx i = perm[r].load(std::memory_order_relaxed);
+      if (i < 0 || i >= n || seen[static_cast<std::size_t>(i)]) return false;
+      seen[static_cast<std::size_t>(i)] = true;
+    }
+    return true;
   }
 };
 
@@ -317,14 +342,15 @@ bool partition_scatter(const TreeState<Key, Compare>&,
         ps.bucket_id[static_cast<std::size_t>(i)].load(std::memory_order_relaxed);
     const std::size_t slot = cursor[b]++;
     ps.skey[slot].store(ps.key(i), std::memory_order_relaxed);
-    ps.sidx[slot].store(static_cast<std::uint32_t>(i), std::memory_order_relaxed);
+    ps.sidx[slot].store(static_cast<Idx>(i), std::memory_order_relaxed);
   }
   return true;
 }
 
 // Bucket sweep, one bucket: copy the bucket's scattered pairs into private
-// scratch, leaf-sort, emit consecutive ranks.  The private copy is essential
-// — concurrent duplicates of this job must not sort shared memory in place.
+// scratch, leaf-sort, emit consecutive ranks into st.out and ps.perm.  The
+// private copy is essential — concurrent duplicates of this job must not
+// sort shared memory in place.
 template <typename Key, typename Compare, typename Check>
 bool partition_bucket(TreeState<Key, Compare>& st, PartitionShared<Key>& ps,
                       PartitionLocal<Key>& local, std::int64_t bucket,
@@ -343,10 +369,12 @@ bool partition_bucket(TreeState<Key, Compare>& st, PartitionShared<Key>& ps,
   }
   leaf_sort(local.items.data(), local.items.data() + local.items.size(),
             LeafItemLess<Key, Compare>{st.cmp}, &local.tally);
-  std::int64_t rank = lo;
+  std::size_t rank = static_cast<std::size_t>(lo);
   for (const LeafItem<Key>& it : local.items) {
     if (!keep_going()) return false;
-    st.emit(it.idx, ++rank);
+    st.out[rank].store(it.key, std::memory_order_release);
+    ps.perm[rank].store(static_cast<Idx>(it.idx), std::memory_order_release);
+    ++rank;
   }
   return true;
 }

@@ -1,22 +1,29 @@
 // Shared state of one sort: the pivot tree threaded through the input.
 //
 // Mirrors Figure 3 of the paper, but in *packed record* form rather than the
-// paper's (and our seed's) parallel arrays: each element owns one
-// cache-line-aligned PackedNode holding both child slots, the subtree size,
-// the final place (1-based rank; 0 = not yet known), the phase-3 completion
-// flag and a private copy of the key.  A descent step, a summation visit or
+// paper's (and our seed's) parallel arrays: each element owns one 32-byte
+// PackedNode holding both child slots, the subtree size, the final place
+// (1-based rank; 0 = not yet known), the phase-3 completion flag and a
+// private copy of the key — the paper's per-element state and nothing
+// more, two records to a cache line.  A descent step, a summation visit or
 // a placement visit therefore costs ONE cache miss where the
 // structure-of-arrays layout cost up to four (child array, size array, place
 // array, key array), and place emission reads the key from the line the
 // visit already loaded.  This is a deliberate, documented deviation from the
 // paper's in-array threading (docs/native_engine.md); the algorithm and all
-// of its invariants are unchanged.
+// of its invariants are unchanged.  Index fields are 32-bit (Idx): the
+// Engine CHECKs n < kMaxElements before it allocates anything.
 //
 // Keys are copied into the records at construction and never modified while
 // the sort runs, which also makes the caller's buffer write-only for the
 // rest of the sort — the engine exploits that to overlap output copy-back
 // with straggling workers.  The sorted result is assembled into `out`
 // (indexed by rank) and copied back after at least one worker finished.
+//
+// The partition phase 1 builds no tree: its TreeState is constructed
+// without records (only `out`, the comparator and the root), and the path
+// keeps its own dense key copy and rank-to-index array
+// (partition_phase.h).
 #pragma once
 
 #include <atomic>
@@ -31,26 +38,37 @@
 
 namespace wfsort::detail {
 
-inline constexpr std::int64_t kNoIdx = -1;
+// Element index as stored in the records (child slots, sizes, places).
+// Accessors take and return std::int64_t and narrow here, in one place.
+using Idx = std::int32_t;
+inline constexpr Idx kNoIdx = -1;
+// Every entry point sorts fewer elements than this (Engine construction
+// CHECKs it), so any index, size or 1-based place fits an Idx.
+inline constexpr std::uint64_t kMaxElements = std::uint64_t{1} << 31;
 
 enum Side : int { kSmall = 0, kBig = 1 };
 
-// One pivot-tree node.  64-byte aligned so any key type up to 23 bytes keeps
-// the whole record inside a single cache line (larger keys pad to two lines,
-// still one line better than four scattered arrays).
+// One pivot-tree node.  32-byte aligned: a key of up to 15 bytes keeps the
+// record inside one half line (two records per 64-byte line, never
+// straddling one); larger keys pad to the next multiple of 32 bytes.
 template <typename Key>
-struct alignas(64) PackedNode {
+struct alignas(32) PackedNode {
   // A record in its initial state: both children EMPTY, size and place
   // unknown, not placed, holding its element's key.
   explicit PackedNode(const Key& k)
       : child{kNoIdx, kNoIdx}, size(0), place(0), key(k), place_done(0) {}
 
-  std::atomic<std::int64_t> child[2];       // kNoIdx = EMPTY; write-once
-  std::atomic<std::int64_t> size;           // 0 = unknown
-  std::atomic<std::int64_t> place;          // 0 = unknown, else 1-based rank
-  Key key;                                  // immutable copy, set before workers start
-  std::atomic<std::uint8_t> place_done;     // PrunePlaced::kDone flag
+  std::atomic<Idx> child[2];             // kNoIdx = EMPTY; write-once
+  std::atomic<Idx> size;                 // 0 = unknown
+  std::atomic<Idx> place;                // 0 = unknown, else 1-based rank
+  Key key;                               // immutable copy, set before workers start
+  std::atomic<std::uint8_t> place_done;  // PrunePlaced::kDone flag
 };
+
+// Layout guard: a field added later must fail the build, not silently
+// double the memory every call touches.
+static_assert(sizeof(PackedNode<std::uint64_t>) == 32,
+              "PackedNode<uint64_t> must stay one half cache line");
 
 template <typename Key, typename Compare>
 struct TreeState {
@@ -66,18 +84,20 @@ struct TreeState {
   // stores the same value, so the atomic is only for data-race freedom).
   std::atomic<std::int64_t> root{0};
 
-  ArenaArray<PackedNode<Key>> nodes;  // one record per element
+  ArenaArray<PackedNode<Key>> nodes;  // one record per element, or none
   ArenaArray<std::atomic<Key>> out;   // sorted result (index place-1)
 
   // Each record is built once, in place, in its initial state — one pass
   // over the records that writes every field, whatever recycled arena
-  // memory held before.
+  // memory held before.  `with_records = false` (the partition phase 1,
+  // which builds no tree) skips the records entirely.
   // Records and output borrow `arena` storage; null (tests) means storage
   // of their own.
-  TreeState(std::span<const Key> k, Compare c, RunArena* arena = nullptr)
+  TreeState(std::span<const Key> k, Compare c, RunArena* arena = nullptr,
+            bool with_records = true)
       : keys(k),
         cmp(c),
-        nodes(k.size(), arena,
+        nodes(with_records ? k.size() : 0, arena,
               [k](void* p, std::size_t i) { ::new (p) PackedNode<Key>(k[i]); }),
         out(k.size(), arena, RunArena::default_construct<std::atomic<Key>>) {}
 
@@ -126,11 +146,28 @@ struct TreeState {
     __builtin_prefetch(&nodes[static_cast<std::size_t>(node)], 0, 1);
   }
 
-  std::atomic<std::int64_t>& child_slot(std::int64_t node, Side s) {
-    return nodes[static_cast<std::size_t>(node)].child[s];
-  }
   std::int64_t child_of(std::int64_t node, Side s) const {
     return nodes[static_cast<std::size_t>(node)].child[s].load(std::memory_order_acquire);
+  }
+  // The phase-1 install (Figure 4's CAS): put `elem` into `node`'s EMPTY
+  // child slot `s`.  On failure `occupant` receives the element that won
+  // the slot.
+  bool try_install(std::int64_t node, Side s, std::int64_t elem,
+                   std::int64_t& occupant) {
+    Idx expected = kNoIdx;
+    if (nodes[static_cast<std::size_t>(node)].child[s].compare_exchange_strong(
+            expected, static_cast<Idx>(elem), std::memory_order_acq_rel,
+            std::memory_order_acquire)) {
+      return true;
+    }
+    occupant = expected;
+    return false;
+  }
+  // An idempotent child store (the LC variant stitching the fat tree's
+  // shape into the pivot tree: every worker writes the same value).
+  void set_child(std::int64_t node, Side s, std::int64_t elem) {
+    nodes[static_cast<std::size_t>(node)].child[s].store(static_cast<Idx>(elem),
+                                                         std::memory_order_release);
   }
   std::int64_t size_of(std::int64_t node) const {
     return node == kNoIdx
@@ -138,7 +175,8 @@ struct TreeState {
                : nodes[static_cast<std::size_t>(node)].size.load(std::memory_order_acquire);
   }
   void set_size(std::int64_t node, std::int64_t s) {
-    nodes[static_cast<std::size_t>(node)].size.store(s, std::memory_order_release);
+    nodes[static_cast<std::size_t>(node)].size.store(static_cast<Idx>(s),
+                                                     std::memory_order_release);
   }
   std::int64_t place_of(std::int64_t node) const {
     return nodes[static_cast<std::size_t>(node)].place.load(std::memory_order_acquire);
@@ -169,7 +207,7 @@ struct TreeState {
   void emit(std::int64_t node, std::int64_t pl) {
     PackedNode<Key>& nd = nodes[static_cast<std::size_t>(node)];
     out[static_cast<std::size_t>(pl - 1)].store(nd.key, std::memory_order_release);
-    nd.place.store(pl, std::memory_order_release);
+    nd.place.store(static_cast<Idx>(pl), std::memory_order_release);
   }
 
   // Post-run validation/diagnostics (single-threaded use).
@@ -180,8 +218,11 @@ struct TreeState {
     return true;
   }
 
+  // The tree's depth by walking it.  A state without records (the
+  // partition phase 1) holds the root alone: depth 1.
   std::uint32_t measure_depth() const {
     if (keys.empty()) return 0;
+    if (nodes.empty()) return 1;
     std::uint32_t max_depth = 0;
     std::vector<std::pair<std::int64_t, std::uint32_t>> stack{{root_idx(), 1u}};
     while (!stack.empty()) {

@@ -52,6 +52,10 @@ enum class PrunePlaced { kNo, kDone };
 // "Closing the gap" has the diagram and measurements.
 enum class Phase1 { kTree, kPartition };
 
+// Every entry point (sort, sort_with_faults, sort_permutation, SortPool,
+// SortSession) sorts fewer than 2^31 elements: the node records hold
+// 32-bit indices, and a larger input stops at a CHECK before anything is
+// allocated or read.
 struct Options {
   std::uint32_t threads = 0;  // 0 = std::thread::hardware_concurrency()
   Variant variant = Variant::kDeterministic;

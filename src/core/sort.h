@@ -65,14 +65,8 @@ std::vector<std::uint32_t> sort_permutation(std::span<const T> data,
   const bool ok =
       detail::drive(engine, opts, nullptr, detail::ThreadLauncher{}, stats);
   WFSORT_CHECK(ok);
-  std::vector<std::uint32_t> perm(data.size());  // {0} for a single element
-  if (data.size() > 1) {
-    const auto& st = engine.state();
-    for (std::size_t i = 0; i < data.size(); ++i) {
-      const std::int64_t place = st.place_of(static_cast<std::int64_t>(i));
-      perm[static_cast<std::size_t>(place - 1)] = static_cast<std::uint32_t>(i);
-    }
-  }
+  std::vector<std::uint32_t> perm(data.size());
+  engine.permutation(perm);
   return perm;
 }
 

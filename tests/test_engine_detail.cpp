@@ -477,9 +477,40 @@ TEST(SimdDescend, DispatchedMatchesScalarBitExactly) {
 
 // ---- partition phase ----------------------------------------------------
 
+using Partition = wfsort::detail::PartitionShared<std::uint64_t>;
+
+// The partition path's state, as the Engine builds it: output slots, no
+// node records.
+State partition_state(const std::vector<std::uint64_t>& keys) {
+  return State(std::span<const std::uint64_t>(keys), {}, nullptr,
+               /*with_records=*/false);
+}
+
+// Mark every rank-to-index slot unwritten, so the checks below can tell
+// which slots the sweeps wrote.
+void clear_perm(Partition& ps) {
+  for (auto& slot : ps.perm) slot.store(kNoIdx);
+}
+
+// Every rank was written, the rank-to-index array is a permutation of the
+// element indices, and each output slot holds the key of the element the
+// array names for that rank.
+void expect_ranked(const Partition& ps, const State& st,
+                   const std::vector<std::uint64_t>& keys) {
+  ASSERT_EQ(ps.perm.size(), keys.size());
+  EXPECT_TRUE(ps.all_ranked());
+  for (std::size_t r = 0; r < keys.size(); ++r) {
+    const std::int64_t i = ps.perm[r].load();
+    ASSERT_NE(i, kNoIdx) << "rank slot " << r << " never written";
+    ASSERT_GE(i, 0) << r;
+    ASSERT_LT(i, static_cast<std::int64_t>(keys.size())) << r;
+    EXPECT_EQ(st.out[r].load(), keys[static_cast<std::size_t>(i)]) << r;
+  }
+}
+
 // Drive the three partition sweeps to completion single-threaded, the way
 // one surviving worker would.
-void run_partition(State& st, wfsort::detail::PartitionShared<std::uint64_t>& ps,
+void run_partition(State& st, Partition& ps,
                    wfsort::detail::PartitionLocal<std::uint64_t>& local) {
   ASSERT_TRUE(wfsort::detail::partition_prepare(st, ps, local, kKeepGoing));
   for (std::int64_t c = 0; c < ps.chunks; ++c) {
@@ -496,13 +527,15 @@ void run_partition(State& st, wfsort::detail::PartitionShared<std::uint64_t>& ps
 
 TEST(PartitionPhase, SingleBucketBelowChunkSize) {
   auto keys = pattern_input("random", 100);  // < kChunk: one bucket, no splitters
-  State st(std::span<const std::uint64_t>(keys), {});
-  wfsort::detail::PartitionShared<std::uint64_t> ps{std::span<const std::uint64_t>(keys)};
+  State st = partition_state(keys);
+  EXPECT_TRUE(st.nodes.empty());
+  Partition ps{std::span<const std::uint64_t>(keys)};
   EXPECT_EQ(ps.buckets, 1);
+  clear_perm(ps);
   wfsort::detail::PartitionLocal<std::uint64_t> local;
   run_partition(st, ps, local);
   EXPECT_TRUE(local.splitters.empty());
-  EXPECT_TRUE(st.all_placed());
+  expect_ranked(ps, st, keys);
   auto expected = keys;
   std::sort(expected.begin(), expected.end());
   for (std::size_t i = 0; i < keys.size(); ++i) {
@@ -512,12 +545,13 @@ TEST(PartitionPhase, SingleBucketBelowChunkSize) {
 
 TEST(PartitionPhase, ManyChunksDuplicateHeavyMatchesSort) {
   auto keys = pattern_input("dup-heavy", 10000);  // 5 chunks -> 4 buckets
-  State st(std::span<const std::uint64_t>(keys), {});
-  wfsort::detail::PartitionShared<std::uint64_t> ps{std::span<const std::uint64_t>(keys)};
+  State st = partition_state(keys);
+  Partition ps{std::span<const std::uint64_t>(keys)};
   EXPECT_GT(ps.buckets, 1);
+  clear_perm(ps);
   wfsort::detail::PartitionLocal<std::uint64_t> local;
   run_partition(st, ps, local);
-  EXPECT_TRUE(st.all_placed());
+  expect_ranked(ps, st, keys);
   auto expected = keys;
   std::sort(expected.begin(), expected.end());
   for (std::size_t i = 0; i < keys.size(); ++i) {
@@ -529,18 +563,20 @@ TEST(PartitionPhase, AllEqualKeysSplittersStayBalanced) {
   // Every key identical: only the index tie-break separates splitters, and
   // it must keep the buckets balanced instead of collapsing them into one.
   auto keys = pattern_input("all-equal", 8192);
-  State st(std::span<const std::uint64_t>(keys), {});
-  wfsort::detail::PartitionShared<std::uint64_t> ps{std::span<const std::uint64_t>(keys)};
+  State st = partition_state(keys);
+  Partition ps{std::span<const std::uint64_t>(keys)};
   ASSERT_GT(ps.buckets, 1);
+  clear_perm(ps);
   wfsort::detail::PartitionLocal<std::uint64_t> local;
   run_partition(st, ps, local);
-  EXPECT_TRUE(st.all_placed());
+  expect_ranked(ps, st, keys);
   for (std::size_t i = 0; i < keys.size(); ++i) {
     EXPECT_EQ(st.out[i].load(), 42u);
   }
-  // place is the (key, index) rank: with equal keys, element i ranks i+1.
-  for (std::int64_t i = 0; i < st.n(); ++i) {
-    EXPECT_EQ(st.place_of(i), i + 1);
+  // Ranks follow the (key, index) order: with equal keys, rank i+1 is
+  // element i.
+  for (std::size_t r = 0; r < keys.size(); ++r) {
+    EXPECT_EQ(ps.perm[r].load(), static_cast<std::int64_t>(r));
   }
   const std::int64_t cap = 2 * ps.n / ps.buckets;
   for (std::size_t b = 0; b + 1 < local.base.size(); ++b) {
@@ -552,22 +588,26 @@ TEST(PartitionPhase, AllEqualKeysSplittersStayBalanced) {
 
 TEST(PartitionPhase, EmptyBucketIsSkipped) {
   std::vector<std::uint64_t> keys{3, 1, 2};
-  State st(std::span<const std::uint64_t>(keys), {});
-  wfsort::detail::PartitionShared<std::uint64_t> ps{std::span<const std::uint64_t>(keys)};
+  State st = partition_state(keys);
+  Partition ps{std::span<const std::uint64_t>(keys)};
   wfsort::detail::PartitionLocal<std::uint64_t> local;
+  constexpr std::uint64_t kUntouched = 0xDEADBEEF;
+  for (auto& slot : st.out) slot.store(kUntouched);
+  clear_perm(ps);
   // Hand-crafted bases with an empty bucket 0 (skewed input vs the sample):
-  // the job must return success without touching any element.
+  // the job must return success without touching any output or rank slot.
   local.base = {0, 0, 0};
   EXPECT_TRUE(wfsort::detail::partition_bucket(st, ps, local, 0, kKeepGoing));
-  for (std::int64_t i = 0; i < st.n(); ++i) {
-    EXPECT_EQ(st.place_of(i), 0) << i;
+  for (std::size_t r = 0; r < keys.size(); ++r) {
+    EXPECT_EQ(st.out[r].load(), kUntouched) << r;
+    EXPECT_EQ(ps.perm[r].load(), kNoIdx) << r;
   }
 }
 
 TEST(PartitionPhase, AbortedSweepsReturnFalse) {
   auto keys = pattern_input("random", 10000);
-  State st(std::span<const std::uint64_t>(keys), {});
-  wfsort::detail::PartitionShared<std::uint64_t> ps{std::span<const std::uint64_t>(keys)};
+  State st = partition_state(keys);
+  Partition ps{std::span<const std::uint64_t>(keys)};
   wfsort::detail::PartitionLocal<std::uint64_t> local;
   int budget = 5;
   auto limited = [&budget] { return budget-- > 0; };
@@ -585,6 +625,15 @@ TEST(TreeStateDetail, AllPlacedAndMeasureDepth) {
                                               /*seq_cutoff=*/0, kKeepGoing));
   EXPECT_TRUE(st->all_placed());
   EXPECT_EQ(st->measure_depth(), 3u);  // 3 -> 1 -> 2 chain
+}
+
+// The partition path's state holds no records; its "tree" is the root alone.
+TEST(TreeStateDetail, RecordlessStateHasDepthOne) {
+  const std::vector<std::uint64_t> keys{5, 4, 3, 2, 1};
+  const State st = partition_state(keys);
+  EXPECT_TRUE(st.nodes.empty());
+  EXPECT_EQ(st.out.size(), keys.size());
+  EXPECT_EQ(st.measure_depth(), 1u);
 }
 
 // Every record of a freshly built TreeState is in its initial state — both

@@ -98,6 +98,9 @@ struct SimSortParam {
   std::uint32_t procs;
   SchedKind sched;
   wfsort::sim::PlacePrune prune;
+  // Explicit zero tail padding: gtest lists the raw bytes of the parameter
+  // in the test name, and uninitialised padding would make it vary.
+  std::uint32_t zero_pad = 0;
 };
 
 class SimSortSweep : public testing::TestWithParam<SimSortParam> {};

@@ -2,6 +2,8 @@
 // thread counts and variants; statistics invariants (Lemma 2.4); behaviour
 // under injected crashes and page-fault sleeps (wait-freedom, E9's basis).
 #include <gtest/gtest.h>
+#include <sys/resource.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cstdint>
@@ -247,6 +249,9 @@ TEST(SortNative, SortPermutationEmptyAndSingle) {
 
 struct SweepParam {
   Workload workload;
+  // Explicit zero padding, as in KnobParam below: gtest lists the raw bytes
+  // of the parameter in the test name.
+  std::uint32_t zero_pad = 0;
   std::size_t n;
   std::uint32_t threads;
   Variant variant;
@@ -292,12 +297,14 @@ std::vector<SweepParam> make_sweep() {
   for (Workload w : workloads) {
     for (std::size_t n : {37u, 256u, 1024u}) {
       for (std::uint32_t t : {1u, 4u}) {
-        out.push_back({w, n, t, Variant::kDeterministic});
+        out.push_back(
+            {.workload = w, .n = n, .threads = t, .variant = Variant::kDeterministic});
       }
     }
     // The LC variant is slower per element (randomized probing); keep sizes
     // moderate but above its fallback threshold.
-    out.push_back({w, 300, 4, Variant::kLowContention});
+    out.push_back(
+        {.workload = w, .n = 300, .threads = 4, .variant = Variant::kLowContention});
   }
   return out;
 }
@@ -365,8 +372,8 @@ std::vector<KnobParam> make_knob_sweep() {
 }
 
 INSTANTIATE_TEST_SUITE_P(Grid, KnobSweep, testing::ValuesIn(make_knob_sweep()),
-                         [](const testing::TestParamInfo<KnobParam>& info) {
-                           return knob_label(info.param);
+                         [](const testing::TestParamInfo<KnobParam>& pi) {
+                           return knob_label(pi.param);
                          });
 
 // The blocked-partition phase 1 must be observationally identical to the
@@ -374,19 +381,98 @@ INSTANTIATE_TEST_SUITE_P(Grid, KnobSweep, testing::ValuesIn(make_knob_sweep()),
 // rank of (key, i) in the index-tie-broken total order, so the output
 // PERMUTATION — visible through sort_permutation on duplicate-heavy input —
 // must match rank for rank.
+// n = 6000 gives 2 buckets, 2^16 gives 32.
 TEST(SortNative, PartitionPhasePermutationMatchesTreeBitExactly) {
   const Workload workloads[] = {Workload::kRandom, Workload::kAllEqual,
                                 Workload::kFewDistinct, Workload::kOrganPipe};
-  for (Workload w : workloads) {
-    const auto v = make_workload(w, 6000, 321);
-    const auto tree_perm = wfsort::sort_permutation(
-        std::span<const std::uint64_t>(v),
-        Options{.threads = 4, .phase1 = Phase1::kTree});
-    const auto part_perm = wfsort::sort_permutation(
-        std::span<const std::uint64_t>(v),
-        Options{.threads = 4, .phase1 = Phase1::kPartition});
-    EXPECT_EQ(tree_perm, part_perm) << workload_name(w);
+  for (std::size_t n : {std::size_t{6000}, std::size_t{1} << 16}) {
+    for (Workload w : workloads) {
+      const auto v = make_workload(w, n, 321);
+      const auto tree_perm = wfsort::sort_permutation(
+          std::span<const std::uint64_t>(v),
+          Options{.threads = 4, .phase1 = Phase1::kTree});
+      const auto part_perm = wfsort::sort_permutation(
+          std::span<const std::uint64_t>(v),
+          Options{.threads = 4, .phase1 = Phase1::kPartition});
+      EXPECT_EQ(tree_perm, part_perm) << workload_name(w) << " n=" << n;
+    }
   }
+}
+
+// Below kLcMinN the LC variant falls back to the deterministic one, so LC +
+// kPartition takes the record-less partition path.  Its permutation comes
+// from the rank-to-index array and must still match the tree's.
+TEST(SortNative, LowContentionPartitionFallbackMatchesTree) {
+  const auto v = make_workload(Workload::kFewDistinct, 40, 11);
+  ASSERT_LT(v.size(), wfsort::detail::kLcMinN);
+  const Options lc_part{.threads = 4,
+                        .variant = Variant::kLowContention,
+                        .phase1 = Phase1::kPartition};
+  auto copy = v;
+  wfsort::detail::Engine<std::uint64_t, std::less<std::uint64_t>> engine(
+      std::span<std::uint64_t>(copy), {}, lc_part);
+  EXPECT_EQ(engine.effective_variant(), Variant::kDeterministic);
+  EXPECT_TRUE(engine.state().nodes.empty());
+  const auto tree_perm = wfsort::sort_permutation(
+      std::span<const std::uint64_t>(v), Options{.threads = 4, .phase1 = Phase1::kTree});
+  const auto part_perm =
+      wfsort::sort_permutation(std::span<const std::uint64_t>(v), lc_part);
+  EXPECT_EQ(tree_perm, part_perm);
+}
+
+// ------------------------------------------------------------ size limit
+
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+constexpr bool kSanitizerShadow = true;  // reserves terabytes of address space
+#else
+constexpr bool kSanitizerShadow = false;
+#endif
+
+// Cap this process's address space 256 MiB above what it maps now, so an
+// allocation sized by n fails at once (std::bad_alloc) instead of being
+// granted lazily and filled.  Not under ASan/TSan, whose shadow mappings
+// need the address space.
+void cap_address_space() {
+  if (kSanitizerShadow) return;
+  std::ifstream statm("/proc/self/statm");
+  std::uint64_t pages = 0;
+  statm >> pages;
+  const auto cap = static_cast<rlim_t>(
+      pages * static_cast<std::uint64_t>(sysconf(_SC_PAGESIZE)) + (std::uint64_t{256} << 20));
+  const rlimit lim{cap, cap};
+  setrlimit(RLIMIT_AS, &lim);
+}
+
+// n >= 2^31 does not fit the records' 32-bit index fields.  Every entry
+// point must stop at the Engine's CHECK before it allocates anything or
+// reads the input: the span below claims 2^31 elements over a 16-element
+// buffer, so reading past it would fault and allocating for it would fail
+// under the address-space cap — either would die with another message.
+TEST(SortNativeDeathTest, SizeCheckFiresBeforeAllocating) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  std::vector<std::uint64_t> small(16, 7);
+  const std::span<std::uint64_t> huge(small.data(), wfsort::detail::kMaxElements);
+  const char* kMessage = "CHECK failed.*data.size\\(\\) < kMaxElements";
+  EXPECT_DEATH(
+      {
+        cap_address_space();
+        wfsort::sort(huge, Options{.threads = 2});
+      },
+      kMessage);
+  EXPECT_DEATH(
+      {
+        cap_address_space();
+        (void)wfsort::sort_permutation(std::span<const std::uint64_t>(huge),
+                                       Options{.threads = 2, .phase1 = Phase1::kPartition});
+      },
+      kMessage);
+  EXPECT_DEATH(
+      {
+        cap_address_space();
+        wfsort::SortPool pool(2);
+        pool.sort(huge, Options{.threads = 2, .variant = Variant::kLowContention});
+      },
+      kMessage);
 }
 
 // ------------------------------------------------------------ variants
